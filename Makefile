@@ -43,3 +43,4 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzDifferential$$' -fuzztime $(FUZZTIME) .
 	go test -run '^$$' -fuzz '^FuzzOnDemandDifferential$$' -fuzztime $(FUZZTIME) .
 	go test -run '^$$' -fuzz '^FuzzStoreRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/store
+	go test -run '^$$' -fuzz '^FuzzKernels$$' -fuzztime $(FUZZTIME) ./internal/bits

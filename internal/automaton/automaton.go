@@ -59,8 +59,9 @@ func (a *Automaton) StepCount() int { return len(a.steps) }
 // RootType returns the inferred type of the record root.
 func (a *Automaton) RootType() jsonpath.ValueType { return a.root }
 
-// Step returns the i-th path step. The caller must keep i < StepCount.
-func (a *Automaton) Step(i int) jsonpath.Step { return a.steps[i] }
+// Step returns the i-th path step, shared with the automaton: the caller
+// must not modify it, and must keep i < StepCount.
+func (a *Automaton) Step(i int) *jsonpath.Step { return &a.steps[i] }
 
 // statusFor converts a successor state into a Status.
 func (a *Automaton) statusFor(next int) Status {
@@ -77,7 +78,7 @@ func (a *Automaton) IsObjectState(q int) bool {
 	if q >= len(a.steps) {
 		return false
 	}
-	st := a.steps[q]
+	st := &a.steps[q]
 	return st.SelectsMembers() || st.Kind == jsonpath.Descendant
 }
 
@@ -86,7 +87,7 @@ func (a *Automaton) IsArrayState(q int) bool {
 	if q >= len(a.steps) {
 		return false
 	}
-	st := a.steps[q]
+	st := &a.steps[q]
 	return st.SelectsElements() || st.Kind == jsonpath.Descendant
 }
 
@@ -100,7 +101,7 @@ func (a *Automaton) MatchKey(q int, name []byte) (int, Status) {
 	if q >= len(a.steps) {
 		return q, Unmatched
 	}
-	st := a.steps[q]
+	st := &a.steps[q]
 	switch st.Kind {
 	case jsonpath.Wildcard:
 		return q + 1, a.statusFor(q + 1)
@@ -121,7 +122,7 @@ func (a *Automaton) MatchIndex(q int, idx int) (int, Status) {
 	if q >= len(a.steps) {
 		return q, Unmatched
 	}
-	st := a.steps[q]
+	st := &a.steps[q]
 	switch st.Kind {
 	case jsonpath.Wildcard:
 		return q + 1, a.statusFor(q + 1)
@@ -137,7 +138,7 @@ func (a *Automaton) MatchIndex(q int, idx int) (int, Status) {
 
 // IndexMatches reports whether a streamable index/slice/wildcard step
 // selects element idx, honoring the slice stride.
-func IndexMatches(st jsonpath.Step, idx int) bool {
+func IndexMatches(st *jsonpath.Step, idx int) bool {
 	if idx < st.Lo || idx >= st.Hi {
 		return false
 	}
@@ -155,7 +156,7 @@ func (a *Automaton) Range(q int) (lo, hi int, constrained bool) {
 	if q >= len(a.steps) {
 		return 0, 0, false
 	}
-	st := a.steps[q]
+	st := &a.steps[q]
 	switch st.Kind {
 	case jsonpath.Index, jsonpath.Slice:
 		return st.Lo, st.Hi, true

@@ -209,7 +209,7 @@ func (sc *scanner) probeCandidate(child, start, end int) {
 	needAbs := st.Filter.HasAbsolute()
 	for i := child; i < sc.aut.StepCount(); i++ {
 		s := sc.aut.Step(i)
-		suffix = append(suffix, s)
+		suffix = append(suffix, *s)
 		if s.Kind == jsonpath.Filter && s.Filter.HasAbsolute() {
 			needAbs = true
 		}

@@ -237,7 +237,7 @@ func (ev *Evaluator) runValue(data []byte, emit func(start, end int)) (int64, er
 func pathSteps(ev *Evaluator) []jsonpath.Step {
 	steps := make([]jsonpath.Step, ev.aut.StepCount())
 	for i := range steps {
-		steps[i] = ev.aut.Step(i)
+		steps[i] = *ev.aut.Step(i)
 	}
 	return steps
 }

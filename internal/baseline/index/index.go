@@ -1,10 +1,10 @@
 // Package index is the Pison/Mison-class baseline: structural-index
 // preprocessing (paper §2, Figure 3-(b)). Before any query runs, it
 // builds *leveled bitmaps* — one colon bitmap and one comma bitmap per
-// nesting level up to the query's depth — with the same SWAR substrate as
-// JSONSki. Queries then navigate the bitmaps: colons locate object
-// attributes, commas separate array elements, and value spans fall out of
-// the separator positions.
+// nesting level up to the query's depth — with the same bit-parallel
+// substrate as JSONSki. Queries then navigate the bitmaps: colons locate
+// object attributes, commas separate array elements, and value spans fall
+// out of the separator positions.
 //
 // Like Pison, the index can be constructed speculatively in parallel
 // chunks (see parallel.go), but the whole input must be indexed before
@@ -328,7 +328,7 @@ func (ev *Evaluator) object(ix *Index, vs, close, level int, st jsonpath.Step, w
 // `close` (the ']' position) at nesting level `level`.
 func (ev *Evaluator) array(ix *Index, vs, close, level int, st jsonpath.Step, walk func(int, int, int, int), q int) {
 	wild := st.Kind == jsonpath.Wildcard
-	selects := func(i int) bool { return wild || automaton.IndexMatches(st, i) }
+	selects := func(i int) bool { return wild || automaton.IndexMatches(&st, i) }
 	idx := 0
 	prev := vs + 1
 	bitsInRange(ix.commas[level], vs+1, close, func(comma int) bool {

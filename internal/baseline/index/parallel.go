@@ -12,7 +12,7 @@ import (
 // the leveled bitmaps (paper §2 and Table 3: Pison's "Speculative
 // Parallelism"). The input is cut into word-aligned chunks:
 //
-//	A. (parallel) each chunk runs the SWAR classification pipeline
+//	A. (parallel) each chunk runs the bit-parallel classification pipeline
 //	   assuming it starts with no pending escape, recording for BOTH
 //	   possible string polarities the open/close counts and the
 //	   resulting end state (speculation on the string state);

@@ -1,6 +1,6 @@
 // Package tape is the simdjson-class baseline: the two-stage
 // preprocessing scheme of Langdale & Lemire (VLDB-J 2019) restated on the
-// same SWAR substrate as JSONSki.
+// same bit-parallel substrate (internal/bits) as JSONSki.
 //
 // Stage 1 scans the whole input with bit-parallel classification and
 // materializes a structural index: the positions of every structural

@@ -1,14 +1,18 @@
 // Package bits provides the word-level bit-parallel substrate that the
 // JSONSki streaming engine and the preprocessing baselines are built on.
 //
-// The paper's C++ implementation uses AVX2 intrinsics to classify 32-64
-// input bytes per instruction. Go has no stable intrinsics, so this package
-// implements the same dataflow with SWAR (SIMD-within-a-register): every
-// operation consumes a 64-byte block of input and produces 64-bit masks,
-// one bit per input byte, LSB-first (bit i of a word corresponds to byte i
-// of the block). "Next occurrence of X after pos" is therefore the lowest
-// set bit at or above pos, found with a trailing-zero count — the
-// little-endian mirror of the paper's mirrored bitmaps + lzcnt.
+// Every classification consumes a 64-byte Block of input and produces
+// 64-bit masks, one bit per input byte, LSB-first (bit i of a word
+// corresponds to byte i of the block). "Next occurrence of X after pos" is
+// therefore the lowest set bit at or above pos, found with a trailing-zero
+// count — the little-endian mirror of the paper's mirrored bitmaps + lzcnt.
+//
+// The per-block kernels have two implementations behind one Block API. On
+// amd64 CPUs with AVX2 (detected once at init from CPUID and XGETBV) they
+// run in assembly, 32 bytes per instruction as in the paper's C++
+// implementation. Everywhere else they run as SWAR (SIMD-within-a-register)
+// over eight 64-bit words. The SWAR path is also the reference the AVX2
+// kernels are tested against, bit for bit.
 package bits
 
 import (
@@ -18,6 +22,11 @@ import (
 
 // WordSize is the number of input bytes covered by one mask word.
 const WordSize = 64
+
+// useAVX2 selects the assembly kernels for every Block classification. It
+// is set once, at init, from the CPU's feature bits; tests flip it to
+// compare the two paths.
+var useAVX2 = hasAVX2
 
 const (
 	lo7  = 0x7f7f7f7f7f7f7f7f
@@ -65,22 +74,39 @@ type Block [8]uint64
 // Load fills the block from b. If fewer than 64 bytes remain, the tail is
 // padded with 0x00, which matches no metacharacter and is not a
 // whitespace/quote byte, so padding never fabricates structure.
+// On the AVX2 path the copy is two 32-byte moves, so the kernels' 32-byte
+// reads of the block are served by store forwarding; eight 8-byte stores
+// would stall each of them.
 func (blk *Block) Load(b []byte) {
-	if len(b) >= WordSize {
-		for i := 0; i < 8; i++ {
-			blk[i] = le64(b[i*8:])
-		}
+	if len(b) < WordSize {
+		var buf [WordSize]byte
+		copy(buf[:], b)
+		b = buf[:]
+	}
+	p := (*[WordSize]byte)(b)
+	if useAVX2 {
+		loadAVX2(blk, p)
 		return
 	}
-	var buf [WordSize]byte
-	copy(buf[:], b)
-	for i := 0; i < 8; i++ {
-		blk[i] = le64(buf[i*8:])
-	}
+	blk[0] = le64(p[0:])
+	blk[1] = le64(p[8:])
+	blk[2] = le64(p[16:])
+	blk[3] = le64(p[24:])
+	blk[4] = le64(p[32:])
+	blk[5] = le64(p[40:])
+	blk[6] = le64(p[48:])
+	blk[7] = le64(p[56:])
 }
 
 // EqMask returns the 64-bit mask of positions in the block holding c.
 func (blk *Block) EqMask(c byte) uint64 {
+	if useAVX2 {
+		return eqMaskAVX2(blk, c)
+	}
+	return blk.eqMaskSWAR(c)
+}
+
+func (blk *Block) eqMaskSWAR(c byte) uint64 {
 	pat := repeat(c)
 	var m uint64
 	for i := 0; i < 8; i++ {
@@ -92,6 +118,13 @@ func (blk *Block) EqMask(c byte) uint64 {
 // LtMask returns the mask of positions holding a byte strictly less than c,
 // for c <= 0x80. Used for whitespace/control classification.
 func (blk *Block) LtMask(c byte) uint64 {
+	if useAVX2 {
+		return ltMaskAVX2(blk, c)
+	}
+	return blk.ltMaskSWAR(c)
+}
+
+func (blk *Block) ltMaskSWAR(c byte) uint64 {
 	pat := repeat(c)
 	var m uint64
 	for i := 0; i < 8; i++ {
@@ -123,6 +156,13 @@ func (blk *Block) WhitespaceMask() uint64 {
 // EqMask2 returns the masks for two characters in one pass over the
 // block, sharing the word loads and loop overhead.
 func (blk *Block) EqMask2(a, b byte) (uint64, uint64) {
+	if useAVX2 {
+		return eqMask2AVX2(blk, a, b)
+	}
+	return blk.eqMask2SWAR(a, b)
+}
+
+func (blk *Block) eqMask2SWAR(a, b byte) (uint64, uint64) {
 	pa, pb := repeat(a), repeat(b)
 	var ma, mb uint64
 	for i := 0; i < 8; i++ {
@@ -134,10 +174,18 @@ func (blk *Block) EqMask2(a, b byte) (uint64, uint64) {
 }
 
 // QuoteAndBackslashMasks returns the quote and backslash masks of the block.
-// It is the always-on classification of the string pipeline, so the
-// backslash gather is deferred behind a flag OR-test: most blocks hold no
-// backslash, and for them only the presence test is paid.
+// It is the always-on classification of the string pipeline.
 func (blk *Block) QuoteAndBackslashMasks() (quotes, backslash uint64) {
+	if useAVX2 {
+		return quoteAndBackslashMasksAVX2(blk)
+	}
+	return blk.quoteAndBackslashMasksSWAR()
+}
+
+// quoteAndBackslashMasksSWAR defers the backslash gather behind a flag
+// OR-test: most blocks hold no backslash, and for them only the presence
+// test is paid.
+func (blk *Block) quoteAndBackslashMasksSWAR() (quotes, backslash uint64) {
 	const pq, pb = '"' * lsb8, '\\' * lsb8
 	var bsFlags [8]uint64
 	var anyBS uint64
@@ -165,6 +213,13 @@ func (blk *Block) QuoteAndBackslashMasks() (quotes, backslash uint64) {
 // Masks are raw (not string-filtered); the index build applies the
 // in-string filter itself.
 func (blk *Block) ClassifyStructural() (lbrace, rbrace, lbracket, rbracket, colon, comma, ws uint64) {
+	if useAVX2 {
+		return classifyStructuralAVX2(blk)
+	}
+	return blk.classifyStructuralSWAR()
+}
+
+func (blk *Block) classifyStructuralSWAR() (lbrace, rbrace, lbracket, rbracket, colon, comma, ws uint64) {
 	const (
 		pLBrace   = '{' * lsb8
 		pRBrace   = '}' * lsb8
@@ -189,9 +244,16 @@ func (blk *Block) ClassifyStructural() (lbrace, rbrace, lbracket, rbracket, colo
 }
 
 // EqMask3Or returns the union of three characters' masks, OR-ing the
-// per-byte flags before the single gather multiply — cheaper than three
-// separate masks when only the union is needed.
+// per-byte flags before a single gather — cheaper than three separate
+// masks when only the union is needed.
 func (blk *Block) EqMask3Or(a, b, c byte) uint64 {
+	if useAVX2 {
+		return eqMask3OrAVX2(blk, a, b, c)
+	}
+	return blk.eqMask3OrSWAR(a, b, c)
+}
+
+func (blk *Block) eqMask3OrSWAR(a, b, c byte) uint64 {
 	pa, pb, pc := repeat(a), repeat(b), repeat(c)
 	var m uint64
 	for i := 0; i < 8; i++ {

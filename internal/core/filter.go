@@ -93,7 +93,7 @@ func buildFilterRuntimes(a *automaton.Automaton) []*filterRuntime {
 func suffixSteps(a *automaton.Automaton, q int) []jsonpath.Step {
 	steps := make([]jsonpath.Step, 0, a.StepCount()-q)
 	for i := q; i < a.StepCount(); i++ {
-		steps = append(steps, a.Step(i))
+		steps = append(steps, *a.Step(i))
 	}
 	return steps
 }

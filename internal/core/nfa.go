@@ -125,7 +125,7 @@ func (e *NFAEngine) nextSetKey(set stateSet, key []byte) stateSet {
 		if q >= len(e.steps) {
 			continue // accept state has no outgoing transitions
 		}
-		st := e.steps[q]
+		st := &e.steps[q]
 		switch st.Kind {
 		case jsonpath.Child:
 			if automaton.KeyEqual(key, st.Name) {
@@ -135,7 +135,7 @@ func (e *NFAEngine) nextSetKey(set stateSet, key []byte) stateSet {
 			out |= 1 << uint(q+1) // `*` selects members and elements alike
 		case jsonpath.Descendant:
 			out |= 1 << uint(q) // a descendant survives any descent
-			switch sel := st.Sel[0]; sel.Kind {
+			switch sel := &st.Sel[0]; sel.Kind {
 			case jsonpath.Child:
 				if automaton.KeyEqual(key, sel.Name) {
 					out |= 1 << uint(q+1)
@@ -156,7 +156,7 @@ func (e *NFAEngine) nextSetIndex(set stateSet, idx int) stateSet {
 		if q >= len(e.steps) {
 			continue
 		}
-		st := e.steps[q]
+		st := &e.steps[q]
 		switch st.Kind {
 		case jsonpath.Index, jsonpath.Slice, jsonpath.Wildcard:
 			if automaton.IndexMatches(st, idx) {
@@ -164,7 +164,7 @@ func (e *NFAEngine) nextSetIndex(set stateSet, idx int) stateSet {
 			}
 		case jsonpath.Descendant:
 			out |= 1 << uint(q)
-			switch sel := st.Sel[0]; sel.Kind {
+			switch sel := &st.Sel[0]; sel.Kind {
 			case jsonpath.Index, jsonpath.Slice, jsonpath.Wildcard:
 				if automaton.IndexMatches(sel, idx) {
 					out |= 1 << uint(q+1)

@@ -166,7 +166,7 @@ func domOracle(t *testing.T, steps []jsonpath.Step, data []byte) []string {
 					st := steps[q]
 					switch st.Kind {
 					case jsonpath.Index, jsonpath.Slice:
-						if automaton.IndexMatches(st, idx) {
+						if automaton.IndexMatches(&st, idx) {
 							next |= 1 << uint(q+1)
 						}
 					case jsonpath.Wildcard:
@@ -175,7 +175,7 @@ func domOracle(t *testing.T, steps []jsonpath.Step, data []byte) []string {
 						next |= 1 << uint(q)
 						switch sel := st.Sel[0]; sel.Kind {
 						case jsonpath.Index, jsonpath.Slice:
-							if automaton.IndexMatches(sel, idx) {
+							if automaton.IndexMatches(&sel, idx) {
 								next |= 1 << uint(q+1)
 							}
 						case jsonpath.Wildcard:

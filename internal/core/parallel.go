@@ -22,7 +22,7 @@ import (
 //
 //	1. (serial, cheap) the engine resolves the query's leading child
 //	   steps to reach the dominant top-level array;
-//	2. (parallel) word-aligned chunks run the SWAR classification
+//	2. (parallel) word-aligned chunks run the bit-parallel classification
 //	   pipeline under *speculated* string state — each chunk assumes no
 //	   pending escape and records both string-polarity outcomes;
 //	3. (serial, O(#chunks)) states stitch: escape carries, string
@@ -168,7 +168,7 @@ func (pe *ParallelEngine) eval(data []byte, ix *stream.Index, emit EmitFunc) (St
 	if ix != nil {
 		elems, err = discoverElementsIndexed(ix, aryOpen, pe.workers)
 	} else {
-		elems, err = discoverElementsSWAR(data, aryOpen, pe.workers)
+		elems, err = discoverElementsBlocks(data, aryOpen, pe.workers)
 	}
 	if err != nil {
 		return Stats{}, err
@@ -245,7 +245,7 @@ func (pe *ParallelEngine) eval(data []byte, ix *stream.Index, emit EmitFunc) (St
 	return total, first
 }
 
-// ---- speculative element discovery (phases 2+3+4a), SWAR-based ----
+// ---- speculative element discovery (phases 2+3+4a) over raw blocks ----
 
 type elemSpan struct{ start, end int }
 
@@ -294,10 +294,10 @@ func analyzeSpecChunk(data []byte, lo, hi int, escIn bool) specChunk {
 	return ci
 }
 
-// sepScanSWAR is phase 4a: with known start state, collect the commas at
+// sepScanBlocks is phase 4a: with known start state, collect the commas at
 // relative depth==1 (the target array's separators) and the position of
 // its closing bracket, using word masks.
-func sepScanSWAR(data []byte, lo, hi int, escIn, inStrIn bool, depth int) (commas []int, closeAt int) {
+func sepScanBlocks(data []byte, lo, hi int, escIn, inStrIn bool, depth int) (commas []int, closeAt int) {
 	var blk bits.Block
 	var ec bits.EscapeCarry
 	if escIn {
@@ -356,9 +356,9 @@ func sepScanSWAR(data []byte, lo, hi int, escIn, inStrIn bool, depth int) (comma
 	return commas, -1
 }
 
-// discoverElementsSWAR finds the element spans of the array opening at
-// aryOpen via speculative chunked SWAR scans.
-func discoverElementsSWAR(data []byte, aryOpen, workers int) ([]elemSpan, error) {
+// discoverElementsBlocks finds the element spans of the array opening at
+// aryOpen via speculative chunked block scans.
+func discoverElementsBlocks(data []byte, aryOpen, workers int) ([]elemSpan, error) {
 	lo := aryOpen + 1
 	hi := len(data)
 	// Word-aligned chunk bounds after the opening bracket.
@@ -373,7 +373,7 @@ func discoverElementsSWAR(data []byte, aryOpen, workers int) ([]elemSpan, error)
 	}
 	if nChunks < 2 {
 		// Tiny tail: scan serially.
-		commas, closeAt := sepScanSWAR(data, lo, hi, false, false, 1)
+		commas, closeAt := sepScanBlocks(data, lo, hi, false, false, 1)
 		return assembleElems(data, lo, commas, closeAt)
 	}
 	bounds := make([]int, nChunks+2)
@@ -425,7 +425,7 @@ func discoverElementsSWAR(data []byte, aryOpen, workers int) ([]elemSpan, error)
 	}
 	parts := make([]part, n)
 	parallelChunks(n, workers, func(i int) {
-		c, cl := sepScanSWAR(data, bounds[i], bounds[i+1], escIn[i], inStrIn[i], depthIn[i])
+		c, cl := sepScanBlocks(data, bounds[i], bounds[i+1], escIn[i], inStrIn[i], depthIn[i])
 		parts[i] = part{c, cl}
 	})
 	var commas []int
@@ -457,7 +457,7 @@ func indexedChunkDelta(ix *stream.Index, lo, hi int) int {
 	return d
 }
 
-// sepScanIndexed is sepScanSWAR over prebuilt index rows: the masks are
+// sepScanIndexed is sepScanBlocks over prebuilt index rows: the masks are
 // already string-filtered, so no escape/string carries are threaded in.
 func sepScanIndexed(ix *stream.Index, lo, hi, depth int) (commas []int, closeAt int) {
 	closeAt = -1
@@ -506,7 +506,7 @@ func sepScanIndexed(ix *stream.Index, lo, hi, depth int) (commas []int, closeAt 
 
 // discoverElementsIndexed finds the element spans of the array opening
 // at aryOpen by reading prebuilt index rows. String state is resolved
-// for every word at index-build time, so — unlike the speculative SWAR
+// for every word at index-build time, so — unlike the speculative raw-block
 // path — chunks need no polarity speculation, no escape-carry stitch,
 // and no misprediction re-scan: phase A is a pure popcount depth-delta
 // per chunk, a serial O(#chunks) prefix sum stitches absolute depths,

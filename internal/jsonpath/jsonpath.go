@@ -147,7 +147,7 @@ type Step struct {
 }
 
 // SelectsMembers reports whether the step can select object members.
-func (st Step) SelectsMembers() bool {
+func (st *Step) SelectsMembers() bool {
 	switch st.Kind {
 	case Child, Wildcard, Filter:
 		return true
@@ -162,7 +162,7 @@ func (st Step) SelectsMembers() bool {
 }
 
 // SelectsElements reports whether the step can select array elements.
-func (st Step) SelectsElements() bool {
+func (st *Step) SelectsElements() bool {
 	switch st.Kind {
 	case Index, Slice, Wildcard, Filter:
 		return true
@@ -182,7 +182,7 @@ func (st Step) SelectsElements() bool {
 // descendant segments with one streamable non-filter selector. Unions,
 // negative indexes/bounds, and backward slices are deferred — their
 // RFC semantics need the container length or per-selector output order.
-func (st Step) Streamable() bool {
+func (st *Step) Streamable() bool {
 	switch st.Kind {
 	case Child, Wildcard, Filter:
 		return true
@@ -206,7 +206,7 @@ func (st Step) Streamable() bool {
 // SliceBounds resolves a slice step against an array of length n using
 // the RFC 9535 §2.3.4.2.2 algorithm. Iterate i := lo; stride > 0 ? i <
 // hi : i > hi; i += stride. A zero stride selects nothing (lo == hi).
-func (st Step) SliceBounds(n int) (lo, hi, stride int) {
+func (st *Step) SliceBounds(n int) (lo, hi, stride int) {
 	stride = st.Stride
 	if stride == 0 {
 		return 0, 0, 1

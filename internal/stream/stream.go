@@ -54,7 +54,7 @@ type Stream struct {
 	limit int // logical end of input: len(data), or the window end
 
 	// idx, when non-nil, is a borrowed prebuilt structural index: loadWord
-	// copies the word's masks out of it instead of running the SWAR
+	// copies the word's masks out of it instead of running the
 	// classification pipeline, and fast-forwards jump without folding the
 	// intervening words through the string carry (the index already
 	// resolved string state for the whole buffer).
