@@ -476,41 +476,68 @@ func TestRecordEntryPointsAgreeWithDOM(t *testing.T) {
 	}
 }
 
-// TestQuerySetReaderAgreesWithDOMPerQuery runs a multi-expression
-// QuerySet through RunRecords and RunReaderContext and compares each
-// member query's matches with its own DOM baseline run.
+// TestQuerySetReaderAgreesWithDOMPerQuery runs multi-expression
+// QuerySets through RunRecords and RunReaderContext and compares each
+// member query's matches with its own DOM baseline run. The sets mix
+// plain paths with filter, descendant and union members, and one holds
+// no plain path at all: every member must answer on every entry point.
+// A descendant member emits a nested match after the value enclosing it
+// while the DOM lists it before, so its matches compare per record as
+// a multiset.
 func TestQuerySetReaderAgreesWithDOMPerQuery(t *testing.T) {
+	sets := []struct {
+		name  string
+		exprs []string
+	}{
+		{"mixed", []string{"$.a", "$.items[*]", "$[*].id", "$.b[*].c",
+			"$.items[?@.v]", "$..id", "$['a','b']"}},
+		{"no-plain-path", []string{"$..name", "$[?@.a]", "$.items[0,1]"}},
+	}
 	rng := rand.New(rand.NewSource(90210))
-	exprs := []string{"$.a", "$.items[*]", "$[*].id", "$.b[*].c"}
 	records, ndjson := genRecords(t, rng, 30)
-	want := make([][]recMatch, len(exprs))
-	for qi, expr := range exprs {
-		want[qi] = domRecordMatches(t, expr, records)
+	for _, set := range sets {
+		t.Run(set.name, func(t *testing.T) {
+			exprs := set.exprs
+			unordered := func(expr string, ms []recMatch) []recMatch {
+				if strings.Contains(expr, "..") {
+					sort.SliceStable(ms, func(i, j int) bool {
+						if ms[i].rec != ms[j].rec {
+							return ms[i].rec < ms[j].rec
+						}
+						return ms[i].val < ms[j].val
+					})
+				}
+				return ms
+			}
+			want := make([][]recMatch, len(exprs))
+			for qi, expr := range exprs {
+				want[qi] = unordered(expr, domRecordMatches(t, expr, records))
+			}
+			qs, err := jsonski.CompileSet(exprs...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(label string, eval func(fn func(jsonski.SetMatch)) error) {
+				got := make([][]recMatch, len(exprs))
+				if err := eval(func(m jsonski.SetMatch) {
+					got[m.Query] = append(got[m.Query], recMatch{rec: m.Record, val: canonical(t, m.Value)})
+				}); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				for qi, expr := range exprs {
+					sameRecMatches(t, label+" "+expr, unordered(expr, got[qi]), want[qi])
+				}
+			}
+			run("QuerySet.RunRecords", func(fn func(jsonski.SetMatch)) error {
+				_, err := qs.RunRecords(records, fn)
+				return err
+			})
+			run("QuerySet.RunReaderContext", func(fn func(jsonski.SetMatch)) error {
+				_, err := qs.RunReaderContext(context.Background(), bytes.NewReader(ndjson), fn)
+				return err
+			})
+		})
 	}
-	qs, err := jsonski.CompileSet(exprs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	run := func(label string, eval func(fn func(jsonski.SetMatch)) error) {
-		got := make([][]recMatch, len(exprs))
-		if err := eval(func(m jsonski.SetMatch) {
-			got[m.Query] = append(got[m.Query], recMatch{rec: m.Record, val: canonical(t, m.Value)})
-		}); err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		for qi, expr := range exprs {
-			sameRecMatches(t, label+" "+expr, got[qi], want[qi])
-		}
-	}
-	run("QuerySet.RunRecords", func(fn func(jsonski.SetMatch)) error {
-		_, err := qs.RunRecords(records, fn)
-		return err
-	})
-	run("QuerySet.RunReaderContext", func(fn func(jsonski.SetMatch)) error {
-		_, err := qs.RunReaderContext(context.Background(), bytes.NewReader(ndjson), fn)
-		return err
-	})
 }
 
 // TestIndexedEntryPointsAgree pins the borrowed-index entry points to

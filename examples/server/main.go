@@ -55,7 +55,7 @@ func main() {
 	}
 	resp.Body.Close()
 
-	// 3. /multi evaluates several paths in one shared pass per record.
+	// 3. /multi evaluates several paths per record, one pass per path.
 	resp, err = http.Post(base+"/multi?path="+url.QueryEscape("$.user.name")+
 		"&path="+url.QueryEscape("$.retweets"),
 		"application/x-ndjson", strings.NewReader(body))

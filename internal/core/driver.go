@@ -12,8 +12,8 @@ import (
 // skip/output/descend dispatch per member, uniform fast-forward group
 // charging, the recursion bound, and trace-state upkeep; an engine
 // supplies only a stepper policy describing how its match state reacts
-// to keys and indices. The DFA, NFA state-set, and multi-query automata
-// are all thin policies over these three functions.
+// to keys and indices. The DFA and NFA state-set automata are both thin
+// policies over these three functions.
 
 // action selects what the driver does with one attribute or element
 // value after the policy has matched its key/index.
@@ -29,8 +29,8 @@ const (
 	// actDescend: live state continues into the value; recurse.
 	actDescend
 	// actDescendOutput: actDescend, plus the consumed extent is emitted
-	// afterwards (an NFA/multi state set can accept and continue at
-	// once; a DFA never does).
+	// afterwards (an NFA state set can accept and continue at once; a
+	// DFA never does).
 	actDescendOutput
 	// actProbe: the pending step is a filter selector — the value is a
 	// candidate. The driver fast-forwards over it exactly like actSkip
@@ -41,16 +41,16 @@ const (
 )
 
 // maxDepth bounds driver recursion. The DFA engine's depth is already
-// bounded by its query length, but NFA and multi policies recurse per
-// nesting level of the input, so the driver enforces one bound for all.
+// bounded by its query length, but the NFA policy recurses per nesting
+// level of the input, so the driver enforces one bound for both.
 const maxDepth = 10000
 
 // stepper is the per-engine policy the driver consults at each step of
-// the descent. S is the state handed down into a value (a DFA state, an
-// NFA state-set bitmask, a multi-query state vector); F is the frame the
-// policy keeps while scanning one container's members; A carries the
-// accepting queries of one member from matchKey/matchIndex to emitMatch.
-type stepper[S, F, A any] interface {
+// the descent. S is the state handed down into a value (a DFA state or
+// an NFA state-set bitmask); F is the frame the policy keeps while
+// scanning one container's members. The driver emits accepted values
+// through the cursor's span callback.
+type stepper[S, F any] interface {
 	// enterObject projects descent state onto an object about to be
 	// scanned: the member frame, the value type expected of candidate
 	// attributes (Unknown disables G1 type filtering), and whether any
@@ -61,14 +61,12 @@ type stepper[S, F, A any] interface {
 	// no range applies (G5 pre/post skips disabled).
 	enterArray(st S) (frame F, expected jsonpath.ValueType, lo, hi int, constrained, live bool)
 	// matchKey advances the frame over one attribute name, returning the
-	// state to descend with, the accepting queries, the dispatch action,
-	// and done=true when no later attribute of this object can match
-	// (G4: the driver jumps to the object end after this member).
-	matchKey(frame F, name []byte) (child S, acc A, act action, done bool)
+	// state to descend with, the dispatch action, and done=true when no
+	// later attribute of this object can match (G4: the driver jumps to
+	// the object end after this member).
+	matchKey(frame F, name []byte) (child S, act action, done bool)
 	// matchIndex is matchKey for array elements.
-	matchIndex(frame F, idx int) (child S, acc A, act action)
-	// emitMatch reports one match span for the queries recorded in acc.
-	emitMatch(acc A, start, end int)
+	matchIndex(frame F, idx int) (child S, act action)
 	// resolveProbe decides an actProbe candidate after the driver has
 	// consumed its span [start, end): child is the state matchKey/
 	// matchIndex returned, vt the candidate's type, g the group the
@@ -84,7 +82,7 @@ type stepper[S, F, A any] interface {
 // and primitives — which no pending step can match — are skipped (G2).
 // The caller has already established the value's type; vt must be
 // Object, Array, or a primitive type with the cursor on its first byte.
-func driveValue[S, F, A any](c *cursor, p stepper[S, F, A], vt jsonpath.ValueType, st S, inArray bool) error {
+func driveValue[S, F any](c *cursor, p stepper[S, F], vt jsonpath.ValueType, st S, inArray bool) error {
 	switch vt {
 	case jsonpath.Object:
 		frame, expected, live := p.enterObject(st)
@@ -106,7 +104,7 @@ func driveValue[S, F, A any](c *cursor, p stepper[S, F, A], vt jsonpath.ValueTyp
 // driveMember dispatches one attribute/element value on the action the
 // policy chose for it. skipGroup is the group charged for dead values:
 // G2 for attributes, G5 (out-of-range semantics) for array elements.
-func driveMember[S, F, A any](c *cursor, p stepper[S, F, A], vt jsonpath.ValueType, child S, acc A, act action, inArray bool, skipGroup fastforward.Group) error {
+func driveMember[S, F any](c *cursor, p stepper[S, F], vt jsonpath.ValueType, child S, act action, inArray bool, skipGroup fastforward.Group) error {
 	switch act {
 	case actSkip:
 		return c.skipValue(vt, skipGroup, inArray)
@@ -121,7 +119,7 @@ func driveMember[S, F, A any](c *cursor, p stepper[S, F, A], vt jsonpath.ValueTy
 		if err != nil {
 			return err
 		}
-		p.emitMatch(acc, sp.Start, sp.End)
+		c.emitSpan(sp.Start, sp.End)
 		return nil
 	default: // actDescend, actDescendOutput
 		start := c.s.Pos()
@@ -129,7 +127,7 @@ func driveMember[S, F, A any](c *cursor, p stepper[S, F, A], vt jsonpath.ValueTy
 			return err
 		}
 		if act == actDescendOutput {
-			p.emitMatch(acc, start, trimWSEnd(c.s.Data(), start, c.s.Pos()))
+			c.emitSpan(start, trimWSEnd(c.s.Data(), start, c.s.Pos()))
 		}
 		return nil
 	}
@@ -138,7 +136,7 @@ func driveMember[S, F, A any](c *cursor, p stepper[S, F, A], vt jsonpath.ValueTy
 // driveObject scans the object whose '{' is under the cursor (Algorithm
 // 2, [Key]/[Val] rules). On return the cursor is just past the matching
 // '}'.
-func driveObject[S, F, A any](c *cursor, p stepper[S, F, A], frame F, expected jsonpath.ValueType) error {
+func driveObject[S, F any](c *cursor, p stepper[S, F], frame F, expected jsonpath.ValueType) error {
 	s := c.s
 	if c.depth++; c.depth > maxDepth {
 		return fmt.Errorf("core: nesting deeper than %d at %d", maxDepth, s.Pos())
@@ -156,8 +154,8 @@ func driveObject[S, F, A any](c *cursor, p stepper[S, F, A], frame F, expected j
 		if r.End {
 			return nil
 		}
-		child, acc, act, done := p.matchKey(frame, r.Name)
-		if err := driveMember(c, p, r.VType, child, acc, act, false, fastforward.G2); err != nil {
+		child, act, done := p.matchKey(frame, r.Name)
+		if err := driveMember(c, p, r.VType, child, act, false, fastforward.G2); err != nil {
 			return err
 		}
 		if act >= actDescend && c.trace != nil {
@@ -173,7 +171,7 @@ func driveObject[S, F, A any](c *cursor, p stepper[S, F, A], frame F, expected j
 
 // driveArray scans the array whose '[' is under the cursor, maintaining
 // the element index across fast-forwarded runs ([Ary-S]/[Ary-E] rules).
-func driveArray[S, F, A any](c *cursor, p stepper[S, F, A], frame F, expected jsonpath.ValueType, lo, hi int, constrained bool) error {
+func driveArray[S, F any](c *cursor, p stepper[S, F], frame F, expected jsonpath.ValueType, lo, hi int, constrained bool) error {
 	s := c.s
 	if c.depth++; c.depth > maxDepth {
 		return fmt.Errorf("core: nesting deeper than %d at %d", maxDepth, s.Pos())
@@ -211,8 +209,8 @@ func driveArray[S, F, A any](c *cursor, p stepper[S, F, A], frame F, expected js
 		if constrained && idx >= hi {
 			return c.ff.GoToAryEnd()
 		}
-		child, acc, act := p.matchIndex(frame, idx)
-		if err := driveMember(c, p, r.VType, child, acc, act, true, fastforward.G5); err != nil {
+		child, act := p.matchIndex(frame, idx)
+		if err := driveMember(c, p, r.VType, child, act, true, fastforward.G5); err != nil {
 			return err
 		}
 		if act >= actDescend && c.trace != nil {

@@ -63,11 +63,6 @@ func (st Stats) ScannedBytes() int64 {
 	return n
 }
 
-// none is the accept payload of single-query policies: the span itself
-// identifies the match, so nothing extra travels from matchKey to
-// emitMatch.
-type none = struct{}
-
 // Engine evaluates one compiled query over byte buffers. An Engine is
 // reusable but not safe for concurrent use; create one per goroutine.
 type Engine struct {
@@ -179,12 +174,12 @@ func (e *Engine) run() error {
 		if e.aut.RootType() == jsonpath.Array {
 			return nil // record type cannot match the query
 		}
-		return driveValue[int, int, none](&e.cursor, e, jsonpath.Object, 0, false)
+		return driveValue[int, int](&e.cursor, e, jsonpath.Object, 0, false)
 	case '[':
 		if e.aut.RootType() == jsonpath.Object {
 			return nil
 		}
-		return driveValue[int, int, none](&e.cursor, e, jsonpath.Array, 0, false)
+		return driveValue[int, int](&e.cursor, e, jsonpath.Array, 0, false)
 	default:
 		return nil // primitive record cannot match a multi-step query
 	}
@@ -218,40 +213,38 @@ func (e *Engine) enterArray(q int) (int, jsonpath.ValueType, int, int, bool, boo
 	return q, expected, lo, hi, constrained && e.groupOn(5), true
 }
 
-func (e *Engine) matchKey(q int, name []byte) (child int, acc none, act action, done bool) {
+func (e *Engine) matchKey(q int, name []byte) (child int, act action, done bool) {
 	q2, status := e.aut.MatchKey(q, name)
 	switch status {
 	case automaton.Unmatched:
-		return 0, acc, actSkip, false
+		return 0, actSkip, false
 	case automaton.Accept:
 		act = actOutput
 	case automaton.Candidate:
 		// Filter state: consume the span, then decide (filter.go).
-		return q2, acc, actProbe, false
+		return q2, actProbe, false
 	default: // Matched: descend into the value
 		child, act = q2, actDescend
 	}
 	// G4 applies only to named child steps: wildcard and filter states
 	// can match any number of further attributes.
 	done = e.groupOn(4) && e.aut.Step(q).Kind == jsonpath.Child
-	return child, acc, act, done
+	return child, act, done
 }
 
-func (e *Engine) matchIndex(q, idx int) (child int, acc none, act action) {
+func (e *Engine) matchIndex(q, idx int) (child int, act action) {
 	q2, status := e.aut.MatchIndex(q, idx)
 	switch status {
 	case automaton.Unmatched:
 		// Out-of-range element (G5 semantics).
-		return 0, acc, actSkip
+		return 0, actSkip
 	case automaton.Accept:
-		return 0, acc, actOutput
+		return 0, actOutput
 	case automaton.Candidate:
-		return q2, acc, actProbe
+		return q2, actProbe
 	default:
-		return q2, acc, actDescend
+		return q2, actDescend
 	}
 }
-
-func (e *Engine) emitMatch(_ none, start, end int) { e.emitSpan(start, end) }
 
 func (e *Engine) stateID(q int) int { return q }

@@ -97,11 +97,11 @@ func (e *NFAEngine) run() error {
 	rest := set &^ e.acceptBit()
 	switch b {
 	case '{':
-		if err := driveValue[stateSet, stateSet, none](&e.cursor, e, jsonpath.Object, rest, false); err != nil {
+		if err := driveValue[stateSet, stateSet](&e.cursor, e, jsonpath.Object, rest, false); err != nil {
 			return err
 		}
 	case '[':
-		if err := driveValue[stateSet, stateSet, none](&e.cursor, e, jsonpath.Array, rest, false); err != nil {
+		if err := driveValue[stateSet, stateSet](&e.cursor, e, jsonpath.Array, rest, false); err != nil {
 			return err
 		}
 	case '"':
@@ -203,17 +203,14 @@ func (e *NFAEngine) dispatchSet(next stateSet) (stateSet, action) {
 	}
 }
 
-func (e *NFAEngine) matchKey(set stateSet, name []byte) (child stateSet, acc none, act action, done bool) {
+func (e *NFAEngine) matchKey(set stateSet, name []byte) (child stateSet, act action, done bool) {
 	child, act = e.dispatchSet(e.nextSetKey(set, name))
-	return child, acc, act, false // G4 never applies: the set outlives any match
+	return child, act, false // G4 never applies: the set outlives any match
 }
 
-func (e *NFAEngine) matchIndex(set stateSet, idx int) (child stateSet, acc none, act action) {
-	child, act = e.dispatchSet(e.nextSetIndex(set, idx))
-	return child, acc, act
+func (e *NFAEngine) matchIndex(set stateSet, idx int) (child stateSet, act action) {
+	return e.dispatchSet(e.nextSetIndex(set, idx))
 }
-
-func (e *NFAEngine) emitMatch(_ none, start, end int) { e.emitSpan(start, end) }
 
 // resolveProbe is unreachable: NewNFAEngine rejects filter steps, so no
 // transition ever yields a Candidate.

@@ -11,11 +11,8 @@ import (
 	"jsonski/internal/stream"
 )
 
-// parityDocs pairs a query with documents whose root type matches the
-// query's expectation. (Root-type mismatch is a documented divergence:
-// the DFA engine returns without consuming the record, while the
-// MultiEngine kills the query and G2-consumes the record so the shared
-// pass can continue for other queries.)
+// parityCases pairs a query with documents whose root type matches the
+// query's expectation.
 var parityCases = []struct{ query, data string }{
 	{"$.a.b", `{"a": {"b": 1}, "c": {"b": 2}}`},
 	{"$.a.b", `{"x": [1, 2, 3], "a": {"q": "s", "b": {"deep": [true]}}}`},
@@ -26,55 +23,6 @@ var parityCases = []struct{ query, data string }{
 	{"$.items[*].name", `{"items": [{"id": 1, "name": "x"}, {"id": 2, "name": "y"}], "n": 2}`},
 	{"$.a.b", `{"a": "not an object", "b": 7}`},
 	{"$[*].a", `[{"a": 1}, "skip", {"b": 2}, {"a": [3]}]`},
-}
-
-// TestDFAMultiStatsParity locks in satellite of the shared driver: a
-// single-query MultiEngine run must produce the same matches AND the
-// same Stats — InputBytes and every per-group fast-forward charge — as
-// the DFA engine, because both are policies over the same descent.
-func TestDFAMultiStatsParity(t *testing.T) {
-	for _, tc := range parityCases {
-		t.Run(tc.query, func(t *testing.T) {
-			p, err := jsonpath.Parse(tc.query)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data := []byte(tc.data)
-
-			dfa := NewEngine(automaton.New(p))
-			var dfaSpans []string
-			dfaStats, err := dfa.Run(data, func(s, e int) {
-				dfaSpans = append(dfaSpans, tc.data[s:e])
-			})
-			if err != nil {
-				t.Fatalf("dfa: %v", err)
-			}
-
-			multi := NewMultiEngine([]*automaton.Automaton{automaton.New(p)})
-			var multiSpans []string
-			multiStats, err := multi.Run(data, func(q, s, e int) {
-				if q != 0 {
-					t.Errorf("singleton set reported query %d", q)
-				}
-				multiSpans = append(multiSpans, tc.data[s:e])
-			})
-			if err != nil {
-				t.Fatalf("multi: %v", err)
-			}
-
-			if !reflect.DeepEqual(dfaSpans, multiSpans) {
-				t.Errorf("spans diverge:\n dfa   %q\n multi %q", dfaSpans, multiSpans)
-			}
-			if dfaStats.Matches != multiStats.Matches ||
-				dfaStats.InputBytes != multiStats.InputBytes {
-				t.Errorf("stats diverge: dfa %+v multi %+v", dfaStats, multiStats)
-			}
-			if dfaStats.Skipped.SkippedBytes != multiStats.Skipped.SkippedBytes {
-				t.Errorf("group charges diverge:\n dfa   %v\n multi %v",
-					dfaStats.Skipped.SkippedBytes, multiStats.Skipped.SkippedBytes)
-			}
-		})
-	}
 }
 
 // TestDFANFAMatchParity runs linear (descendant-free) queries through

@@ -213,8 +213,8 @@ func (s *Server) handleMulti(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if explainRequested(r) {
-		// The shared-pass MultiEngine interleaves all queries' movements;
-		// per-query attribution would be misleading, so explain is a
+		// A QuerySet runs one pass per member; its Stats are the members'
+		// sum and it records no explain trace, so explain is a
 		// /query-only feature.
 		s.jsonError(w, http.StatusBadRequest, errors.New("explain is not supported on /multi; use /query"))
 		return

@@ -12,9 +12,10 @@
 //	                         With ?explain=1 the response ends with an
 //	                         {"explain":...} trailer listing the
 //	                         fast-forward movements (bounded event log).
-//	POST /multi?path=..&path=..  evaluate several paths in one shared
-//	                         pass per record (jsonski.QuerySet); lines
-//	                         gain a "query" index field
+//	POST /multi?path=..&path=..  evaluate several paths per record
+//	                         (jsonski.QuerySet: one pass per path, in
+//	                         path order); lines gain a "query" index
+//	                         field
 //	GET/POST /doc?get=a.b[2] navigate the body (one JSON document) to a
 //	                         single value with the on-demand lazy API —
 //	                         no query compilation; the raw value span is

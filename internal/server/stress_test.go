@@ -168,7 +168,7 @@ func TestStressRFC9535SelectorsConcurrent(t *testing.T) {
 					errc <- fmt.Errorf("goroutine %d iter %d: %s over doc %d: %d lines, want %d", g, it, sh.path, d, n, sh.nlines)
 					return
 				}
-				if it%5 == 0 { // mixed shared+sidecar query set
+				if it%5 == 0 { // query set mixing plain and filter members
 					code, body := post(t, multiURL, "application/json", docs[d])
 					if code != http.StatusOK {
 						errc <- fmt.Errorf("goroutine %d iter %d: multi status %d: %s", g, it, code, body)

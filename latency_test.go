@@ -65,7 +65,7 @@ func TestReaderParallelLatencyShared(t *testing.T) {
 	}
 }
 
-// TestQuerySetReaderLatency covers the shared-pass QuerySet reader.
+// TestQuerySetReaderLatency covers the QuerySet reader.
 func TestQuerySetReaderLatency(t *testing.T) {
 	qs, err := jsonski.CompileSet("$.v", "$.w")
 	if err != nil {

@@ -1,47 +1,31 @@
 package jsonski
 
 import (
-	"sync"
-
-	"jsonski/internal/automaton"
 	"jsonski/internal/core"
 	"jsonski/internal/jsonpath"
 )
 
-// QuerySet evaluates several compiled path queries in a single streaming
-// pass over the input. The traversal is shared; a substructure is
-// fast-forwarded only when every query that is still live agrees it is
-// irrelevant, so a set of related queries costs far less than running
-// them one by one.
+// QuerySet evaluates several compiled path queries over the same input.
+// It is a list of compiled members: every entry point runs each member,
+// in set order, as its own fast-forwarding pass with that member's
+// pooled engine (DFA, NFA, or segmented), so no member gives up a skip
+// because another member still needs the bytes. Matches of one member
+// arrive in document order; members do not interleave.
 //
-// Queries the shared traversal cannot host — filters (their candidate
-// probes are a single-query policy), descendants, and deferred selectors
-// (unions, negative indexes/bounds, backward slices) — are compiled to
-// per-query sidecar engines and evaluated in additional passes after the
-// shared one. Matches of each query arrive in document order; matches of
-// different sidecar queries do not interleave.
+// Raw-byte entry points make one lazy pass per member. To pay for
+// classification once across all members, build the index with
+// BuildIndex and use RunIndexed or RunIndexedSink: every member then
+// borrows the same materialized masks.
+//
+// The Stats of a set run are the sum of its members' Stats, so
+// InputBytes is the number of members times the input length, and
+// InputBytes == ScannedBytes + Σ SkippedBytes holds per member and in
+// total.
 //
 // A QuerySet is immutable and safe for concurrent use.
 type QuerySet struct {
-	exprs  []string
-	auts   []*automaton.Automaton // shared-pass automatons
-	autIdx []int                  // autIdx[j] = index in exprs of auts[j]
-	side   []sideQuery            // per-query engines for filter/descendant/deferred queries
-	pool   sync.Pool              // *core.MultiEngine; unused when auts is empty
-}
-
-// sideQuery is one query evaluated outside the shared traversal.
-type sideQuery struct {
-	idx int // position in exprs
-	q   *Query
-}
-
-// sharable reports whether the multi-query engine can host the path in
-// its shared traversal. Filters are excluded even though the DFA streams
-// them: a filter transition yields a candidate span probe, which is a
-// single-query policy the shared automaton product does not implement.
-func sharable(p *jsonpath.Path) bool {
-	return !p.HasFilter() && !p.HasDescendant() && p.SplitPoint() < 0
+	exprs   []string
+	members []*Query // members[i] compiles exprs[i]
 }
 
 // CompileSet parses and compiles all expressions. The query index passed
@@ -50,25 +34,13 @@ func CompileSet(exprs ...string) (*QuerySet, error) {
 	if len(exprs) == 0 {
 		return nil, &jsonpath.ParseError{Msg: "empty query set"}
 	}
-	qs := &QuerySet{exprs: append([]string(nil), exprs...)}
+	qs := &QuerySet{exprs: append([]string(nil), exprs...), members: make([]*Query, len(exprs))}
 	for i, expr := range exprs {
-		p, err := jsonpath.Parse(expr)
+		q, err := Compile(expr)
 		if err != nil {
 			return nil, err
 		}
-		if !sharable(p) {
-			q, err := Compile(expr)
-			if err != nil {
-				return nil, err
-			}
-			qs.side = append(qs.side, sideQuery{idx: i, q: q})
-			continue
-		}
-		qs.auts = append(qs.auts, automaton.New(p))
-		qs.autIdx = append(qs.autIdx, i)
-	}
-	if len(qs.auts) > 0 {
-		qs.pool.New = func() any { return core.NewMultiEngine(qs.auts) }
+		qs.members[i] = q
 	}
 	return qs, nil
 }
@@ -95,38 +67,18 @@ type SetMatch struct {
 	Match
 }
 
-// runShared evaluates the shared traversal over one record, remapping
-// engine query positions to set positions. No-op when every query is a
-// sidecar.
-func (qs *QuerySet) runShared(data []byte, ix *Index, emit core.MultiEmitFunc) (Stats, error) {
+// runRecord evaluates every member over one record — data, or ix's
+// buffer when ix is non-nil — in set order, each with its own pooled
+// engine. emit yields member i's span callback; a nil emit, or a nil
+// callback, only counts. It stops at the first member error.
+func (qs *QuerySet) runRecord(data []byte, ix *Index, emit func(i int) core.EmitFunc) (Stats, error) {
 	var out Stats
-	if len(qs.auts) == 0 {
-		return out, nil
-	}
-	e := qs.pool.Get().(*core.MultiEngine)
-	defer qs.pool.Put(e)
-	var st core.Stats
-	var err error
-	if ix != nil {
-		st, err = e.RunIndexed(ix.ix, emit)
-	} else {
-		st, err = e.Run(data, emit)
-	}
-	out.add(st)
-	return out, err
-}
-
-// runSide evaluates the sidecar queries over one record, delivering each
-// query's spans through emit with that query's set position.
-func (qs *QuerySet) runSide(data []byte, ix *Index, emit core.MultiEmitFunc) (Stats, error) {
-	var out Stats
-	for _, sq := range qs.side {
-		e := sq.q.pool.Get().(runner)
+	for i, q := range qs.members {
 		var fn core.EmitFunc
 		if emit != nil {
-			idx := sq.idx
-			fn = func(s, en int) { emit(idx, s, en) }
+			fn = emit(i)
 		}
+		e := q.pool.Get().(runner)
 		var st core.Stats
 		var err error
 		if ix != nil {
@@ -134,7 +86,7 @@ func (qs *QuerySet) runSide(data []byte, ix *Index, emit core.MultiEmitFunc) (St
 		} else {
 			st, err = e.Run(data, fn)
 		}
-		sq.q.pool.Put(e)
+		q.pool.Put(e)
 		out.add(st)
 		if err != nil {
 			return out, err
@@ -143,105 +95,69 @@ func (qs *QuerySet) runSide(data []byte, ix *Index, emit core.MultiEmitFunc) (St
 	return out, nil
 }
 
-// runAll is the common body of the single-record entry points.
-func (qs *QuerySet) runAll(data []byte, ix *Index, emit core.MultiEmitFunc) (Stats, error) {
-	out, err := qs.runShared(data, ix, emit)
-	if err != nil {
-		return out, err
-	}
-	side, err := qs.runSide(data, ix, emit)
-	out.merge(side)
-	return out, err
-}
-
-// remapEmit converts a SetMatch callback into the engine-facing emit,
-// translating shared-pass query positions into set positions. Sidecar
-// deliveries arrive with the set position already (runSide passes it),
-// so the translation table covers both: positions < len(auts) belong to
-// the shared pass only when the caller is the shared engine — runSide
-// bypasses this by calling fn directly.
-func (qs *QuerySet) remapEmit(data []byte, record int, fn func(SetMatch)) (shared, side core.MultiEmitFunc) {
+// setEmit adapts a SetMatch callback for runRecord: member i's spans of
+// record `record` (bytes data) reach fn tagged with the set position.
+func setEmit(data []byte, record int, fn func(SetMatch)) func(int) core.EmitFunc {
 	if fn == nil {
-		return nil, nil
+		return nil
 	}
-	shared = func(query, s, en int) {
-		fn(SetMatch{Query: qs.autIdx[query],
-			Match: Match{Start: s, End: en, Value: data[s:en], Record: record}})
+	return func(i int) core.EmitFunc {
+		return func(s, en int) {
+			fn(SetMatch{Query: i, Match: Match{Start: s, End: en, Value: data[s:en], Record: record}})
+		}
 	}
-	side = func(query, s, en int) {
-		fn(SetMatch{Query: query,
-			Match: Match{Start: s, End: en, Value: data[s:en], Record: record}})
-	}
-	return shared, side
 }
 
 // Run evaluates all queries over one record, invoking fn for every match
-// of every query. Shared-pass matches arrive in document order; sidecar
-// queries (filters, descendants, deferred selectors) follow, each in
-// document order.
+// of every query: member by member in set order, each member's matches
+// in document order. fn may be nil to only count matches.
 func (qs *QuerySet) Run(data []byte, fn func(SetMatch)) (Stats, error) {
-	shared, side := qs.remapEmit(data, 0, fn)
-	out, err := qs.runShared(data, nil, shared)
-	if err != nil {
-		return out, err
-	}
-	st, err := qs.runSide(data, nil, side)
-	out.merge(st)
-	return out, err
+	return qs.runRecord(data, nil, setEmit(data, 0, fn))
 }
 
-// RunIndexed is Run over a prebuilt structural index of the buffer: the
-// one shared traversal also borrows ix's materialized word masks, so a
-// set of queries over a hot document pays neither per-query passes nor
-// per-word classification. Sidecar queries borrow the same masks. The
-// index must stay alive (not finally Released) for the duration of the
-// call.
+// RunIndexed is Run over a prebuilt structural index of the buffer:
+// every member borrows ix's materialized word masks, so classification
+// is paid once for the whole set. The index must stay alive (not
+// finally Released) for the duration of the call.
 func (qs *QuerySet) RunIndexed(ix *Index, fn func(SetMatch)) (Stats, error) {
-	data := ix.Data()
-	shared, side := qs.remapEmit(data, 0, fn)
-	out, err := qs.runShared(data, ix, shared)
-	if err != nil {
-		return out, err
-	}
-	st, err := qs.runSide(data, ix, side)
-	out.merge(st)
-	return out, err
+	return qs.runRecord(ix.Data(), ix, setEmit(ix.Data(), 0, fn))
 }
 
 // RunSink evaluates all queries over one record, delivering every match
-// of every query to sink. The Sink contract carries no query index — use
-// Run with a callback when per-query attribution matters; RunSink suits
-// the output modes where the queries' results interleave into one stream
-// (e.g. NDJSON out). sink may be nil to only count matches.
+// of every query to sink within one Begin/Flush. The Sink contract
+// carries no query index — use Run with a callback when per-query
+// attribution matters; RunSink suits output modes where the queries'
+// results concatenate into one stream (e.g. NDJSON out). sink may be
+// nil to only count matches.
 func (qs *QuerySet) RunSink(data []byte, sink Sink) (Stats, error) {
-	sr := newSetSinkRun(sink)
-	out, err := qs.runAll(data, nil, sr.bind(0, data))
-	return out, sr.finish(err)
+	return qs.runSink(data, nil, sink)
 }
 
 // RunIndexedSink is RunSink over a prebuilt structural index of the
 // buffer. The index must stay alive (not finally Released) for the
 // duration of the call.
 func (qs *QuerySet) RunIndexedSink(ix *Index, sink Sink) (Stats, error) {
-	sr := newSetSinkRun(sink)
-	out, err := qs.runAll(ix.Data(), ix, sr.bind(0, ix.Data()))
+	return qs.runSink(ix.Data(), ix, sink)
+}
+
+func (qs *QuerySet) runSink(data []byte, ix *Index, sink Sink) (Stats, error) {
+	sr := newSinkRun(sink)
+	var emit func(int) core.EmitFunc
+	if fn := sr.bind(0, data); fn != nil {
+		emit = func(int) core.EmitFunc { return fn }
+	}
+	out, err := qs.runRecord(data, ix, emit)
 	return out, sr.finish(err)
 }
 
 // RunRecords evaluates all queries over a sequence of independent JSON
-// records sequentially with a single shared engine, invoking fn for
-// every match of every query. SetMatch.Record carries the record index.
-// Engine errors are wrapped with the index of the offending record.
+// records sequentially, invoking fn for every match of every query.
+// SetMatch.Record carries the record index. Engine errors are wrapped
+// with the index of the offending record.
 func (qs *QuerySet) RunRecords(records [][]byte, fn func(SetMatch)) (Stats, error) {
 	var out Stats
 	for i, rec := range records {
-		shared, side := qs.remapEmit(rec, i, fn)
-		st, err := qs.runShared(rec, nil, shared)
-		out.merge(st)
-		if err != nil {
-			return out, wrapRecordErr(i, err)
-		}
-		st, err = qs.runSide(rec, nil, side)
+		st, err := qs.runRecord(rec, nil, setEmit(rec, i, fn))
 		out.merge(st)
 		if err != nil {
 			return out, wrapRecordErr(i, err)

@@ -92,10 +92,11 @@ func readerLatency(h *telemetry.Histogram) *LatencySnapshot {
 }
 
 // RunReader streams newline-delimited JSON records from r, evaluating
-// every query of the set against each record in one shared pass as soon
-// as its line is read. Blank lines are skipped. SetMatch.Value aliases
-// an internal per-record buffer that remains valid only for the
-// duration of the callback.
+// every query of the set against each record as soon as its line is
+// read: member by member in set order, each member's matches in
+// document order. Blank lines are skipped. SetMatch.Value aliases an
+// internal per-record buffer that remains valid only for the duration
+// of the callback.
 func (qs *QuerySet) RunReader(r io.Reader, fn func(SetMatch)) (Stats, error) {
 	return qs.RunReaderContext(context.Background(), r, fn)
 }
@@ -105,45 +106,34 @@ func (qs *QuerySet) RunReader(r io.Reader, fn func(SetMatch)) (Stats, error) {
 // ctx.Err(). Engine errors are wrapped with the index of the offending
 // record.
 func (qs *QuerySet) RunReaderContext(ctx context.Context, r io.Reader, fn func(SetMatch)) (Stats, error) {
-	e := qs.pool.Get().(*core.MultiEngine)
-	defer qs.pool.Put(e)
 	br := bufio.NewReaderSize(r, 1<<16)
 	var out Stats
 	var lat telemetry.Histogram
+	done := func(err error) (Stats, error) {
+		out.latency = readerLatency(&lat)
+		return out, err
+	}
 	recno := 0
 	for {
 		if err := ctx.Err(); err != nil {
-			out.latency = readerLatency(&lat)
-			return out, err
+			return done(err)
 		}
 		line, err := readLine(br)
 		if len(line) > 0 {
-			var emit core.MultiEmitFunc
-			if fn != nil {
-				i := recno
-				rec := line
-				emit = func(query, s, en int) {
-					fn(SetMatch{Query: query,
-						Match: Match{Start: s, End: en, Value: rec[s:en], Record: i}})
-				}
-			}
 			t0 := time.Now()
-			st, rerr := e.Run(line, emit)
+			st, rerr := qs.runRecord(line, nil, setEmit(line, recno, fn))
 			lat.Observe(time.Since(t0))
-			out.add(st)
+			out.merge(st)
 			if rerr != nil {
-				out.latency = readerLatency(&lat)
-				return out, wrapRecordErr(recno, rerr)
+				return done(wrapRecordErr(recno, rerr))
 			}
 			recno++
 		}
 		if err == io.EOF {
-			out.latency = readerLatency(&lat)
-			return out, nil
+			return done(nil)
 		}
 		if err != nil {
-			out.latency = readerLatency(&lat)
-			return out, err
+			return done(err)
 		}
 	}
 }

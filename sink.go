@@ -243,50 +243,3 @@ func (sr *sinkRun) finish(engineErr error) error {
 	}
 	return err
 }
-
-// setSinkRun is sinkRun for QuerySet runs: the engine reports a query
-// index per span, which the flat Sink contract drops (use the callback
-// entry points when per-query attribution matters).
-type setSinkRun struct {
-	sink Sink
-	err  error
-	emit core.MultiEmitFunc
-}
-
-func newSetSinkRun(sink Sink) *setSinkRun {
-	sr := &setSinkRun{sink: sink}
-	if sink != nil {
-		sr.emit = sr.deliver
-	}
-	return sr
-}
-
-func (sr *setSinkRun) bind(record int, data []byte) core.MultiEmitFunc {
-	if sr.sink == nil {
-		return nil
-	}
-	sr.sink.Begin(record, data)
-	return sr.emit
-}
-
-func (sr *setSinkRun) deliver(_, start, end int) {
-	if sr.err != nil {
-		return
-	}
-	if err := sr.sink.Span(start, end); err != nil {
-		sr.err = err
-	}
-}
-
-func (sr *setSinkRun) finish(engineErr error) error {
-	err := engineErr
-	if err == nil {
-		err = sr.err
-	}
-	if sr.sink != nil {
-		if ferr := sr.sink.Flush(); err == nil {
-			err = ferr
-		}
-	}
-	return err
-}

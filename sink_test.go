@@ -184,7 +184,7 @@ func TestRunReaderSink(t *testing.T) {
 	}
 }
 
-// TestQuerySetRunSink checks the shared-pass engine through the flat
+// TestQuerySetRunSink checks the per-member set passes through the flat
 // sink contract, against the attributed callback run.
 func TestQuerySetRunSink(t *testing.T) {
 	qs := jsonski.MustCompileSet("$.items[*].name", "$.tail")
