@@ -3,7 +3,7 @@
 # ./...` from the root does not cross the nested module boundary, so the
 # targets below spell both out.
 
-.PHONY: all build test race lint lint-one fuzz-smoke
+.PHONY: all build test race lint lint-one fuzz-smoke perfbench-smoke
 
 all: build test lint
 
@@ -44,3 +44,11 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzOnDemandDifferential$$' -fuzztime $(FUZZTIME) .
 	go test -run '^$$' -fuzz '^FuzzStoreRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/store
 	go test -run '^$$' -fuzz '^FuzzKernels$$' -fuzztime $(FUZZTIME) ./internal/bits
+
+# perfbench-smoke mirrors the CI perfbench-smoke job. perfbench is its
+# own module outside go.work (it pins the library with a replace), so
+# neither `build` nor `test` compiles it; this vets it and runs its
+# short tests, catching a public method the benchmark calls that was
+# renamed or deleted.
+perfbench-smoke:
+	cd perfbench && GOWORK=off go vet . && GOWORK=off go test -short -count 1 .

@@ -5,7 +5,8 @@ package jsonski_test
 //
 //	BenchmarkFig10  — total time on a single large record, 12 queries ×
 //	                  {JSONSki, JPStream-, RapidJSON-, simdjson-,
-//	                  Pison-class} (+ the speculative parallel modes)
+//	                  Pison-class} (+ the JPStream-/Pison-class
+//	                  speculative parallel modes; JSONSki is serial)
 //	BenchmarkFig11  — sequential time on a series of small records
 //	BenchmarkFig12  — parallel time on small records (worker pool)
 //	BenchmarkFig13  — memory footprint of each method's preprocessing
@@ -150,7 +151,8 @@ func serialMethods() []serialMethod {
 
 // BenchmarkFig10 regenerates Figure 10: total execution time on a single
 // large record per dataset, serial for all methods, plus the speculative
-// parallel modes of the JPStream- and Pison-class baselines.
+// parallel modes of the JPStream- and Pison-class baselines. JSONSki has
+// no parallel mode for one record; as in the paper, it runs serially.
 func BenchmarkFig10(b *testing.B) {
 	workers := runtime.GOMAXPROCS(0)
 	for _, q := range queries.All {

@@ -541,8 +541,7 @@ func TestQuerySetReaderAgreesWithDOMPerQuery(t *testing.T) {
 }
 
 // TestIndexedEntryPointsAgree pins the borrowed-index entry points to
-// their lazy twins on random documents: same matches, same order, and
-// for the parallel pair the same multiset.
+// their lazy twins on random documents: same matches, same order.
 func TestIndexedEntryPointsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5150))
 	exprs := []string{"$.a", "$.items[*]", "$[*].id", "$.b[*].c"}
@@ -569,48 +568,6 @@ func TestIndexedEntryPointsAgree(t *testing.T) {
 				lazySet, ixSet, enc)
 		}
 		ix.Release()
-	}
-
-	// Parallel indexed vs parallel lazy on one large array of records.
-	var arr []any
-	for i := 0; i < 400; i++ {
-		arr = append(arr, map[string]any{"id": i, "v": genValue(rng, 3)})
-	}
-	enc, err := json.Marshal(arr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := jsonski.MustCompile("$[*].id")
-	gather := func(run func(fn func(jsonski.Match)) (jsonski.Stats, error)) []string {
-		var mu sync.Mutex
-		var out []string
-		if _, err := run(func(m jsonski.Match) {
-			mu.Lock()
-			out = append(out, string(m.Value))
-			mu.Unlock()
-		}); err != nil {
-			t.Fatal(err)
-		}
-		sort.Strings(out)
-		return out
-	}
-	serial := gather(func(fn func(jsonski.Match)) (jsonski.Stats, error) { return q.Run(enc, fn) })
-	ix := jsonski.BuildIndex(enc)
-	defer ix.Release()
-	for _, workers := range []int{2, 3, 8} {
-		workers := workers
-		par := gather(func(fn func(jsonski.Match)) (jsonski.Stats, error) {
-			return q.RunParallel(enc, workers, fn)
-		})
-		parIx := gather(func(fn func(jsonski.Match)) (jsonski.Stats, error) {
-			return q.RunParallelIndexed(ix, workers, fn)
-		})
-		if fmt.Sprint(par) != fmt.Sprint(serial) {
-			t.Fatalf("workers=%d: RunParallel diverged from serial", workers)
-		}
-		if fmt.Sprint(parIx) != fmt.Sprint(serial) {
-			t.Fatalf("workers=%d: RunParallelIndexed diverged from serial", workers)
-		}
 	}
 }
 
@@ -657,12 +614,10 @@ type ctsCase struct {
 var rfc9535Skips = map[string]string{}
 
 // ctsEntryPoints adapts every public evaluation surface plus the
-// internal baselines to one signature. ordered reports whether the
-// entry point preserves document order.
+// internal baselines to one signature.
 type ctsEntryPoint struct {
-	name    string
-	ordered bool
-	eval    func(q *jsonski.Query, sel string, data []byte) ([]string, error)
+	name string
+	eval func(q *jsonski.Query, sel string, data []byte) ([]string, error)
 }
 
 func ctsEntryPoints() []ctsEntryPoint {
@@ -670,26 +625,26 @@ func ctsEntryPoints() []ctsEntryPoint {
 		return func(m jsonski.Match) { *out = append(*out, string(m.Value)) }
 	}
 	return []ctsEntryPoint{
-		{"Run", true, func(q *jsonski.Query, _ string, data []byte) ([]string, error) {
+		{"Run", func(q *jsonski.Query, _ string, data []byte) ([]string, error) {
 			var out []string
 			_, err := q.Run(data, collect(&out))
 			return out, err
 		}},
-		{"RunIndexed", true, func(q *jsonski.Query, _ string, data []byte) ([]string, error) {
+		{"RunIndexed", func(q *jsonski.Query, _ string, data []byte) ([]string, error) {
 			ix := jsonski.BuildIndex(data)
 			defer ix.Release()
 			var out []string
 			_, err := q.RunIndexed(ix, collect(&out))
 			return out, err
 		}},
-		{"RunIndexedWindow", true, func(q *jsonski.Query, _ string, data []byte) ([]string, error) {
+		{"RunIndexedWindow", func(q *jsonski.Query, _ string, data []byte) ([]string, error) {
 			ix := jsonski.BuildIndex(data)
 			defer ix.Release()
 			var out []string
 			_, err := q.RunIndexedWindow(ix, 0, len(data), collect(&out))
 			return out, err
 		}},
-		{"All", true, func(q *jsonski.Query, _ string, data []byte) ([]string, error) {
+		{"All", func(q *jsonski.Query, _ string, data []byte) ([]string, error) {
 			vals, err := q.All(data)
 			out := make([]string, len(vals))
 			for i, v := range vals {
@@ -697,17 +652,7 @@ func ctsEntryPoints() []ctsEntryPoint {
 			}
 			return out, err
 		}},
-		{"RunParallel", false, func(q *jsonski.Query, _ string, data []byte) ([]string, error) {
-			var mu sync.Mutex
-			var out []string
-			_, err := q.RunParallel(data, 3, func(m jsonski.Match) {
-				mu.Lock()
-				out = append(out, string(m.Value))
-				mu.Unlock()
-			})
-			return out, err
-		}},
-		{"QuerySet", true, func(_ *jsonski.Query, sel string, data []byte) ([]string, error) {
+		{"QuerySet", func(_ *jsonski.Query, sel string, data []byte) ([]string, error) {
 			qs, err := jsonski.CompileSet(sel)
 			if err != nil {
 				return nil, err
@@ -716,12 +661,12 @@ func ctsEntryPoints() []ctsEntryPoint {
 			_, err = qs.Run(data, func(m jsonski.SetMatch) { out = append(out, string(m.Value)) })
 			return out, err
 		}},
-		{"RunExplain", true, func(q *jsonski.Query, _ string, data []byte) ([]string, error) {
+		{"RunExplain", func(q *jsonski.Query, _ string, data []byte) ([]string, error) {
 			var out []string
 			_, err := q.RunExplain(data, 0, collect(&out))
 			return out, err
 		}},
-		{"baseline/domparser", true, func(_ *jsonski.Query, sel string, data []byte) ([]string, error) {
+		{"baseline/domparser", func(_ *jsonski.Query, sel string, data []byte) ([]string, error) {
 			ev, err := domparser.Compile(sel)
 			if err != nil {
 				return nil, err
@@ -730,7 +675,7 @@ func ctsEntryPoints() []ctsEntryPoint {
 			_, err = ev.Run(data, func(s, e int) { out = append(out, string(data[s:e])) })
 			return out, err
 		}},
-		{"baseline/tape", true, func(_ *jsonski.Query, sel string, data []byte) ([]string, error) {
+		{"baseline/tape", func(_ *jsonski.Query, sel string, data []byte) ([]string, error) {
 			ev, err := tape.Compile(sel)
 			if err != nil {
 				return nil, err
@@ -739,7 +684,7 @@ func ctsEntryPoints() []ctsEntryPoint {
 			_, err = ev.Run(data, func(s, e int) { out = append(out, string(data[s:e])) })
 			return out, err
 		}},
-		{"baseline/index", true, func(_ *jsonski.Query, sel string, data []byte) ([]string, error) {
+		{"baseline/index", func(_ *jsonski.Query, sel string, data []byte) ([]string, error) {
 			ev, err := index.Compile(sel)
 			if err != nil {
 				return nil, err
@@ -785,7 +730,7 @@ func evalCTSCase(tc ctsCase) error {
 	// The character-level baseline streams through the automaton alone,
 	// so it joins only for fully DFA-streamable paths.
 	if !p.HasDescendant() && p.SplitPoint() < 0 {
-		eps = append(eps, ctsEntryPoint{"baseline/charstream", true,
+		eps = append(eps, ctsEntryPoint{"baseline/charstream",
 			func(_ *jsonski.Query, sel string, data []byte) ([]string, error) {
 				ev, err := charstream.Compile(sel)
 				if err != nil {
@@ -811,7 +756,7 @@ func evalCTSCase(tc ctsCase) error {
 			norm[i] = string(enc)
 		}
 		exp := append([]string(nil), want...)
-		if tc.Unordered || !ep.ordered {
+		if tc.Unordered {
 			sort.Strings(norm)
 			sort.Strings(exp)
 		}

@@ -193,6 +193,7 @@ func driveArray[S, F any](c *cursor, p stepper[S, F], frame F, expected jsonpath
 		}
 		idx = lo
 	}
+	prev := -1 // start of the previous element
 	for {
 		if constrained && idx >= hi {
 			// G5: everything after the range is irrelevant.
@@ -205,6 +206,15 @@ func driveArray[S, F any](c *cursor, p stepper[S, F], frame F, expected jsonpath
 		if r.End {
 			return nil
 		}
+		// Progress guard: on malformed input the element scan can return
+		// an element where the last one started (a stray '}' reads as a
+		// primitive whose terminator is itself); fail rather than spin.
+		// driveObject needs no guard: every attribute consumes its name.
+		pos := s.Pos()
+		if pos <= prev {
+			return fmt.Errorf("core: no progress in array at %d", pos)
+		}
+		prev = pos
 		idx = r.Index
 		if constrained && idx >= hi {
 			return c.ff.GoToAryEnd()

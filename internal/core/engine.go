@@ -125,9 +125,8 @@ func (e *Engine) RunIndexed(ix *stream.Index, emit EmitFunc) (Stats, error) {
 }
 
 // RunIndexedWindow evaluates the query over the single JSON value
-// occupying the window [lo, hi) of ix's buffer — the shard-evaluation
-// entry point of the parallel engine. Emitted positions are absolute
-// within the full buffer.
+// occupying the window [lo, hi) of ix's buffer. Emitted positions are
+// absolute within the full buffer.
 func (e *Engine) RunIndexedWindow(ix *stream.Index, lo, hi int, emit EmitFunc) (Stats, error) {
 	e.prepareWindow(ix, lo, hi)
 	return e.finish(emit, int64(hi-lo))

@@ -69,9 +69,8 @@ func (e *NFAEngine) RunIndexed(ix *stream.Index, emit EmitFunc) (Stats, error) {
 }
 
 // RunIndexedWindow evaluates the path over the single JSON value in
-// [lo, hi) of ix's buffer, in parity with the DFA engine, so NFA
-// queries can run over shared-index shards. Emitted positions are
-// absolute within the full buffer.
+// [lo, hi) of ix's buffer, in parity with the DFA engine. Emitted
+// positions are absolute within the full buffer.
 func (e *NFAEngine) RunIndexedWindow(ix *stream.Index, lo, hi int, emit EmitFunc) (Stats, error) {
 	e.prepareWindow(ix, lo, hi)
 	return e.finish(emit, int64(hi-lo))

@@ -159,3 +159,5 @@ func trimWS(data []byte, lo, hi int) []byte {
 	}
 	return data[lo:hi]
 }
+
+func isSpaceByte(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }

@@ -4,8 +4,8 @@ package stream
 // JSON buffer in which every per-64-byte-word mask the streaming cursor
 // would otherwise resolve lazily — in-string bits, unescaped quotes, the
 // six structural metacharacters, whitespace — is materialized once so
-// any number of streams (queries, query-set members, parallel shards)
-// can borrow it without redoing the classification or the sequential
+// any number of streams (queries, query-set members, windows) can
+// borrow it without redoing the classification or the sequential
 // string-carry fold. This is the simdjson/Pison two-stage amortization
 // applied to the JSONSki cursor: build once per hot document, stream
 // many times.
@@ -178,18 +178,6 @@ func (ix *Index) MaskBytes() int { return ix.words * idxStride * 8 }
 // row returns the mask row of word w. w must be < ix.words.
 func (ix *Index) row(w int) []uint64 {
 	return ix.rows[w*idxStride : w*idxStride+idxStride]
-}
-
-// DepthMasks returns the string-filtered open ('{' or '['), close ('}'
-// or ']') and comma masks of word w — the working set of a structural
-// depth scan. Used by the parallel engine's element discovery, which
-// with a prebuilt index needs no speculation: string state is already
-// resolved for every word.
-func (ix *Index) DepthMasks(w int) (opens, closes, commas uint64) {
-	row := ix.row(w)
-	return row[idxLBrace] | row[idxLBracket],
-		row[idxRBrace] | row[idxRBracket],
-		row[idxComma]
 }
 
 // Acquire takes an additional reference. Every Acquire must be paired

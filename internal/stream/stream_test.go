@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-
-	"jsonski/internal/bits"
 )
 
 func TestSkipWS(t *testing.T) {
@@ -226,21 +224,40 @@ func TestSetPosClampsToLen(t *testing.T) {
 	}
 }
 
+// TestMaskFiltersStrings checks that metacharacters inside strings are
+// absent from the structural masks, on a lazy stream and on a stream
+// borrowing a prebuilt index.
 func TestMaskFiltersStrings(t *testing.T) {
-	in := []byte(`{"k{}[]:,":1}`)
-	s := New(in)
-	// Only the outer braces, the structural colon, nothing else.
-	if got := bits.OnesCount(s.Mask(LBrace)); got != 1 {
-		t.Errorf("LBrace count = %d, want 1", got)
+	cases := []struct {
+		in   string
+		want map[Meta]uint64
+	}{
+		// Only the outer braces and the structural colon.
+		{`{"k{}[]:,":1}`, map[Meta]uint64{
+			LBrace: 1 << 0, RBrace: 1 << 12, LBracket: 0, RBracket: 0,
+			Colon: 1 << 10, Comma: 0,
+		}},
+		// The '}', '{' and ',' at 6..8 are inside the string.
+		{`{"a":"}{,","b":[1,2]}`, map[Meta]uint64{
+			LBrace: 1 << 0, RBrace: 1 << 20, LBracket: 1 << 15, RBracket: 1 << 19,
+			Colon: 1<<4 | 1<<14, Comma: 1<<10 | 1<<17,
+		}},
 	}
-	if got := bits.OnesCount(s.Mask(RBrace)); got != 1 {
-		t.Errorf("RBrace count = %d, want 1", got)
-	}
-	if got := bits.OnesCount(s.Mask(Colon)); got != 1 {
-		t.Errorf("Colon count = %d, want 1", got)
-	}
-	if got := bits.OnesCount(s.Mask(Comma)); got != 0 {
-		t.Errorf("Comma count = %d, want 0", got)
+	for _, tc := range cases {
+		in := []byte(tc.in)
+		ix := NewIndex(in)
+		streams := []struct {
+			kind string
+			s    *Stream
+		}{{"lazy", New(in)}, {"indexed", NewIndexed(ix)}}
+		for _, st := range streams {
+			for m, want := range tc.want {
+				if got := st.s.Mask(m); got != want {
+					t.Errorf("%s %q meta %c: mask %b, want %b", st.kind, tc.in, m.Byte(), got, want)
+				}
+			}
+		}
+		ix.Release()
 	}
 }
 

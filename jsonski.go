@@ -159,7 +159,6 @@ type runner interface {
 // an internal pool.
 type Query struct {
 	path *jsonpath.Path
-	aut  *automaton.Automaton
 	pool sync.Pool
 }
 
@@ -175,8 +174,6 @@ func Compile(expr string) (*Query, error) {
 		// Deferred selectors (unions, negative indexes/bounds, backward
 		// slices, descendant+filter mixes): streamable prefix through the
 		// DFA/NFA engine, deferred tail through the reference evaluator.
-		// q.aut stays nil, so the speculative parallel entry points fall
-		// back to serial evaluation.
 		if _, err := core.NewSegmentedEngine(p); err != nil {
 			return nil, err
 		}
@@ -196,8 +193,8 @@ func Compile(expr string) (*Query, error) {
 		}
 		return q, nil
 	}
-	q.aut = automaton.New(p)
-	q.pool.New = func() any { return runner(core.NewEngine(q.aut)) }
+	aut := automaton.New(p)
+	q.pool.New = func() any { return runner(core.NewEngine(aut)) }
 	return q, nil
 }
 
@@ -379,62 +376,4 @@ func (q *Query) All(data []byte) ([][]byte, error) {
 	var sink BufferSink
 	_, err := q.RunSink(data, &sink)
 	return sink.Values, err
-}
-
-// RunParallel evaluates the query over one large record using `workers`
-// goroutines with speculative parallelism — the paper's stated future
-// work (§5.2, Table 3). The record's dominant top-level array is located
-// serially, its element boundaries are discovered by speculative
-// chunked bit-parallel scans (each chunk guesses its string state and is
-// patched at stitch time), and workers evaluate disjoint element ranges.
-//
-// fn may be called concurrently, and match order is unspecified.
-// Queries whose shape cannot be split this way (descendant paths, pure
-// child paths, wildcard-child prefixes) fall back to the serial engine.
-func (q *Query) RunParallel(data []byte, workers int, fn func(Match)) (Stats, error) {
-	if q.aut == nil || workers <= 1 {
-		// descendant paths have no automaton; serial evaluation
-		return q.Run(data, fn)
-	}
-	pe, err := core.NewParallelEngine(q.path, workers)
-	if err != nil {
-		return q.Run(data, fn)
-	}
-	var emit core.EmitFunc
-	if fn != nil {
-		emit = func(s, en int) {
-			fn(Match{Start: s, End: en, Value: data[s:en]})
-		}
-	}
-	st, err := pe.Run(data, emit)
-	var out Stats
-	out.add(st)
-	return out, err
-}
-
-// RunParallelIndexed is RunParallel over a prebuilt structural index.
-// With the index, element discovery needs no speculation — string state
-// is already resolved for every word, so chunk boundaries stitch with a
-// popcount prefix sum instead of polarity guessing and misprediction
-// re-scans — and each worker's shard evaluation borrows the same masks.
-// fn may be called concurrently, and match order is unspecified.
-func (q *Query) RunParallelIndexed(ix *Index, workers int, fn func(Match)) (Stats, error) {
-	if q.aut == nil || workers <= 1 {
-		return q.RunIndexed(ix, fn)
-	}
-	pe, err := core.NewParallelEngine(q.path, workers)
-	if err != nil {
-		return q.RunIndexed(ix, fn)
-	}
-	data := ix.Data()
-	var emit core.EmitFunc
-	if fn != nil {
-		emit = func(s, en int) {
-			fn(Match{Start: s, End: en, Value: data[s:en]})
-		}
-	}
-	st, err := pe.RunIndexed(ix.ix, emit)
-	var out Stats
-	out.add(st)
-	return out, err
 }

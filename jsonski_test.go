@@ -239,45 +239,3 @@ func TestCompileRejectsOverlongDescendantPath(t *testing.T) {
 		t.Fatal("expected length error")
 	}
 }
-
-func TestRunParallelMatchesSerial(t *testing.T) {
-	var sb strings.Builder
-	sb.WriteByte('[')
-	for i := 0; i < 300; i++ {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		fmt.Fprintf(&sb, `{"id": %d, "x": "pad,]} %d"}`, i, i)
-	}
-	sb.WriteByte(']')
-	data := []byte(sb.String())
-	q := MustCompile("$[*].id")
-	serial, err := q.Count(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var got []string
-	st, err := q.RunParallel(data, 8, func(m Match) {
-		mu.Lock()
-		got = append(got, string(m.Value))
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Matches != serial || int64(len(got)) != serial {
-		t.Fatalf("parallel %d serial %d", st.Matches, serial)
-	}
-	// fallback paths
-	q2 := MustCompile("$.a.b")
-	n, err := q2.RunParallel([]byte(`{"a":{"b":1}}`), 8, nil)
-	if err != nil || n.Matches != 1 {
-		t.Fatalf("fallback st=%+v err=%v", n, err)
-	}
-	q3 := MustCompile("$..id")
-	n, err = q3.RunParallel(data, 8, nil)
-	if err != nil || n.Matches != serial {
-		t.Fatalf("descendant fallback st=%+v err=%v", n, err)
-	}
-}
