@@ -3,7 +3,7 @@
 # ./...` from the root does not cross the nested module boundary, so the
 # targets below spell both out.
 
-.PHONY: all build test race lint lint-one fuzz-smoke perfbench-smoke
+.PHONY: all build test race lint lint-one fuzz-smoke perfbench-smoke netloc
 
 all: build test lint
 
@@ -52,3 +52,11 @@ fuzz-smoke:
 # renamed or deleted.
 perfbench-smoke:
 	cd perfbench && GOWORK=off go vet . && GOWORK=off go test -short -count 1 .
+
+# netloc reports added, removed and net non-test Go lines against a base
+# revision, for the root module and tools/lint separately. Usage:
+#
+#   make netloc BASE=main
+netloc:
+	@test -n "$(BASE)" || { echo "usage: make netloc BASE=<rev>" >&2; exit 2; }
+	./scripts/netloc.sh $(BASE)

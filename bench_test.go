@@ -20,6 +20,7 @@ package jsonski_test
 // 1 GiB). Shapes, not absolute numbers, are the reproduction target.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -238,7 +239,7 @@ func BenchmarkFig12(b *testing.B) {
 			cq := jsonski.MustCompile(q.Small)
 			b.SetBytes(total)
 			for i := 0; i < b.N; i++ {
-				if _, err := cq.RunRecordsParallel(recs, workers, nil); err != nil {
+				if _, err := cq.Run(context.Background(), jsonski.Records(recs), nil, jsonski.Workers(workers)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -530,7 +531,7 @@ func BenchmarkQuerySet(b *testing.B) {
 		qs := jsonski.MustCompileSet(exprs...)
 		b.SetBytes(int64(len(data)) * int64(len(exprs)))
 		for i := 0; i < b.N; i++ {
-			if _, err := qs.Run(data, nil); err != nil {
+			if _, err := qs.Run(context.Background(), jsonski.Bytes(data), nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -574,7 +575,7 @@ func BenchmarkQuerySetPaperSets(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := qs.RunIndexedSink(ix, &sink); err != nil {
+				if _, err := qs.Run(context.Background(), jsonski.Indexed(ix), &sink); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -611,7 +612,7 @@ func BenchmarkMultiQuery(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ix := jsonski.BuildIndex(data) // build counted: once per N queries
 			for _, q := range compiled {
-				if _, err := q.RunIndexed(ix, nil); err != nil {
+				if _, err := q.Run(context.Background(), jsonski.Indexed(ix), nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -623,7 +624,7 @@ func BenchmarkMultiQuery(b *testing.B) {
 		b.SetBytes(bytesAll)
 		for i := 0; i < b.N; i++ {
 			ix := jsonski.BuildIndex(data)
-			if _, err := qs.RunIndexed(ix, nil); err != nil {
+			if _, err := qs.Run(context.Background(), jsonski.Indexed(ix), nil); err != nil {
 				b.Fatal(err)
 			}
 			ix.Release()
@@ -653,7 +654,7 @@ func BenchmarkRepeatedDocument(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := q.RunIndexed(ix, nil); err != nil {
+			if _, err := q.Run(context.Background(), jsonski.Indexed(ix), nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -665,7 +666,7 @@ func BenchmarkRepeatedDocument(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ix := ic.Get(data)
-			if _, err := q.RunIndexed(ix, nil); err != nil {
+			if _, err := q.Run(context.Background(), jsonski.Indexed(ix), nil); err != nil {
 				b.Fatal(err)
 			}
 			ix.Release()
@@ -740,7 +741,7 @@ func BenchmarkRunLargeSinkBuffered(b *testing.B) {
 	var sink jsonski.BufferSink
 	for i := 0; i < b.N; i++ {
 		sink.Reset()
-		if _, err := cq.RunSink(data, &sink); err != nil {
+		if _, err := cq.Run(context.Background(), jsonski.Bytes(data), &sink); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -755,7 +756,7 @@ func BenchmarkRunLargeSinkStream(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cq.RunSink(data, sink); err != nil {
+		if _, err := cq.Run(context.Background(), jsonski.Bytes(data), sink); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -771,7 +772,7 @@ func BenchmarkRunLargeExplain(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cq.RunExplain(data, 0, nil); err != nil {
+		if _, err := cq.Run(context.Background(), jsonski.Bytes(data), nil, jsonski.Explain(0)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package jsonski
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -122,7 +123,7 @@ func TestCacheConcurrent(t *testing.T) {
 					return
 				}
 				if i%50 == 0 {
-					if _, err := q.Run(data, nil); err != nil {
+					if _, err := q.Run(context.Background(), Bytes(data), nil); err != nil {
 						t.Error(err)
 						return
 					}

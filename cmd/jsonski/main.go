@@ -9,8 +9,8 @@
 //
 // With -records the input is treated as newline-delimited JSON (one
 // record per line), streamed rather than slurped, and -workers enables
-// parallel record processing; -stats then includes per-record latency
-// quantiles. With -explain (single-document input only) the fast-forward
+// parallel record processing (matches still print in record order);
+// -stats then includes per-record latency quantiles. With -explain (single-document input only) the fast-forward
 // movements are dumped to stderr: which function skipped which byte
 // range, charged to which paper group, in which automaton state.
 // Malformed input exits non-zero with the offending record named;
@@ -45,7 +45,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"sync"
 	"syscall"
 	"time"
 
@@ -127,52 +126,27 @@ func run(ctx context.Context, query, get string, countOnly, showStats, records b
 	}
 
 	out := bufio.NewWriter(os.Stdout)
-	// Matched values stream from the input buffer straight to stdout; the
-	// mutex-guarded callback form exists only for the parallel record
-	// path, where matches arrive from several goroutines.
+	// Matched values stream from the input buffer straight to stdout, in
+	// record order whatever the worker count.
 	var sink jsonski.Sink
-	var emit func(m jsonski.Match)
 	if !countOnly {
 		sink = jsonski.NewStreamSink(out)
-		var mu sync.Mutex
-		emit = func(m jsonski.Match) {
-			mu.Lock()
-			out.Write(m.Value)
-			out.WriteByte('\n')
-			mu.Unlock()
-		}
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	opts := []jsonski.Option{jsonski.Workers(workers)}
+	if explain {
+		opts = append(opts, jsonski.Explain(0))
 	}
 
 	start := time.Now()
-	var st jsonski.Stats
-	if loadIx != "" || saveIx != "" {
-		st, err = runWithStore(ctx, q, in, records, saveIx, loadIx, sink)
-	} else if records {
-		// Stream records instead of slurping the file: memory stays
-		// bounded by the largest record, and ctx aborts between records.
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers == 1 {
-			st, err = q.RunReaderSink(ctx, in, sink)
-		} else {
-			st, err = q.RunReaderParallelContext(ctx, in, workers, emit)
-		}
-	} else {
-		var data []byte
-		data, err = io.ReadAll(bufio.NewReader(in))
-		if err != nil {
-			return fmt.Errorf("reading input: %w", err)
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if explain {
-			st, err = q.RunExplain(data, 0, emit)
-		} else {
-			st, err = q.RunSink(data, sink)
-		}
+	input, release, err := openInput(ctx, in, records, saveIx, loadIx)
+	if err != nil {
+		return err
 	}
+	defer release()
+	st, err := q.Run(ctx, input, sink, opts...)
 	elapsed := time.Since(start)
 	if err != nil {
 		// Matches already streamed stay on stdout; flush them so the
@@ -198,58 +172,51 @@ func run(ctx context.Context, query, get string, countOnly, showStats, records b
 	return nil
 }
 
-// runWithStore handles the sidecar entry points: -load-index evaluates
-// the document (or per-record windows) embedded in a mapped sidecar;
-// -save-index slurps the input, evaluates it through a freshly built
-// index, and persists that index for later -load-index runs.
-func runWithStore(ctx context.Context, q *jsonski.Query, in io.Reader, records bool, saveIx, loadIx string, sink jsonski.Sink) (jsonski.Stats, error) {
+// openInput turns the command's input into what the query runs over:
+// with -records a line stream (streamed rather than slurped, so memory
+// stays bounded by the largest record), otherwise the whole document.
+// -load-index reads a sidecar's document instead, and -save-index
+// indexes the input and persists the index first; either then runs
+// through the index, one window per record when the sidecar has a
+// record table and -records is set. release frees the index.
+func openInput(ctx context.Context, in io.Reader, records bool, saveIx, loadIx string) (jsonski.Input, func(), error) {
+	none := func() {}
+	if records && saveIx == "" && loadIx == "" {
+		return jsonski.Reader(in), none, nil
+	}
+	var (
+		ix    *jsonski.Index
+		spans []jsonski.Span
+		err   error
+	)
 	if loadIx != "" {
-		ix, spans, err := jsonski.LoadIndex(loadIx)
+		if ix, spans, err = jsonski.LoadIndex(loadIx); err != nil {
+			return jsonski.Input{}, none, err
+		}
+	} else {
+		data, err := io.ReadAll(bufio.NewReader(in))
 		if err != nil {
-			return jsonski.Stats{}, err
+			return jsonski.Input{}, none, fmt.Errorf("reading input: %w", err)
 		}
-		defer ix.Release()
-		return runIndexed(q, ix, spans, records, sink)
-	}
-	data, err := io.ReadAll(bufio.NewReader(in))
-	if err != nil {
-		return jsonski.Stats{}, fmt.Errorf("reading input: %w", err)
-	}
-	if err := ctx.Err(); err != nil {
-		return jsonski.Stats{}, err
-	}
-	var spans []jsonski.Span
-	if records {
-		spans = jsonski.RecordSpans(data)
-	}
-	ix := jsonski.BuildIndex(data)
-	defer ix.Release()
-	if err := jsonski.SaveIndex(saveIx, ix, spans); err != nil {
-		return jsonski.Stats{}, fmt.Errorf("saving index: %w", err)
-	}
-	return runIndexed(q, ix, spans, records, sink)
-}
-
-// runIndexed evaluates over an index: one window per record span when a
-// record table is present (each window borrows the whole-corpus masks),
-// the whole document otherwise.
-func runIndexed(q *jsonski.Query, ix *jsonski.Index, spans []jsonski.Span, records bool, sink jsonski.Sink) (jsonski.Stats, error) {
-	if !records || len(spans) == 0 {
-		return q.RunIndexedSink(ix, sink)
-	}
-	var total jsonski.Stats
-	for i, sp := range spans {
-		st, err := q.RunIndexedWindowSink(ix, int(sp.Start), int(sp.End), sink)
-		total.Matches += st.Matches
-		total.InputBytes += st.InputBytes
-		for g := range total.SkippedBytes {
-			total.SkippedBytes[g] += st.SkippedBytes[g]
+		if saveIx == "" {
+			return jsonski.Bytes(data), none, nil
 		}
-		if err != nil {
-			return total, fmt.Errorf("record %d: %w", i, err)
+		if err := ctx.Err(); err != nil {
+			return jsonski.Input{}, none, err
+		}
+		if records {
+			spans = jsonski.RecordSpans(data)
+		}
+		ix = jsonski.BuildIndex(data)
+		if err := jsonski.SaveIndex(saveIx, ix, spans); err != nil {
+			ix.Release()
+			return jsonski.Input{}, none, fmt.Errorf("saving index: %w", err)
 		}
 	}
-	return total, nil
+	if records && len(spans) > 0 {
+		return jsonski.Windows(ix, spans), ix.Release, nil
+	}
+	return jsonski.Indexed(ix), ix.Release, nil
 }
 
 // printStats renders the fast-forward accounting block to stderr, shared

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -179,5 +180,60 @@ func TestRunGet(t *testing.T) {
 	}
 	if err := run(ctx, "", "a.b[", false, false, false, 1, false, "", "", []string{f}); err == nil {
 		t.Fatal("malformed path should error")
+	}
+}
+
+// TestRecordsOutputIndependentOfWorkers pins ordered delivery: matches
+// of a multi-record input print in record order, so -workers 4 writes
+// byte for byte what -workers 1 does, whether the records stream from
+// the file or run as windows of a -load-index sidecar.
+func TestRecordsOutputIndependentOfWorkers(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	f := filepath.Join(dir, "in.ndjson")
+	side := filepath.Join(dir, "in.jski")
+	var in strings.Builder
+	for i := 0; i < 400; i++ {
+		fmt.Fprintf(&in, "{\"pad\": %q, \"v\": [%d, %d]}\n", strings.Repeat("x", i%97), i, -i)
+	}
+	if err := os.WriteFile(f, []byte(in.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// stdout runs the command with the given worker count and returns
+	// what it printed.
+	stdout := func(workers int, loadIx string, args ...string) string {
+		t.Helper()
+		out, err := os.Create(filepath.Join(dir, "stdout"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer out.Close()
+		saved := os.Stdout
+		os.Stdout = out
+		err = run(ctx, "$.v[*]", "", false, false, true, workers, false, "", loadIx, args)
+		os.Stdout = saved
+		if err != nil {
+			t.Fatalf("-workers %d: %v", workers, err)
+		}
+		b, err := os.ReadFile(out.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	serial := stdout(1, "", f)
+	if !strings.HasPrefix(serial, "0\n0\n1\n-1\n2\n-2\n") || strings.Count(serial, "\n") != 800 {
+		t.Fatalf("serial output %.40q... has %d lines, want 800 in record order", serial, strings.Count(serial, "\n"))
+	}
+	if got := stdout(4, "", f); got != serial {
+		t.Fatal("-records -workers 4 output differs from -workers 1")
+	}
+	if err := run(ctx, "$.v", "", true, false, true, 1, false, side, "", []string{f}); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		if got := stdout(workers, side); got != serial {
+			t.Fatalf("-load-index -records -workers %d output differs from the streamed run", workers)
+		}
 	}
 }

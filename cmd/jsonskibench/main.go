@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -301,7 +302,7 @@ func (h *harness) fig12() {
 		recs := h.small(q.Dataset)
 		cq := jsonski.MustCompile(q.Small)
 		t1 := timeIt(func() {
-			_, err := cq.RunRecordsParallel(recs, h.workers, nil)
+			_, err := cq.Run(context.Background(), jsonski.Records(recs), nil, jsonski.Workers(h.workers))
 			must(err)
 		})
 		evC, _ := charstream.Compile(q.Small)
@@ -445,7 +446,7 @@ func (h *harness) sharedindex() {
 		tLazy := timeIt(func() { _, err := cq.Count(data); must(err) })
 
 		ix := jsonski.BuildIndex(data)
-		tIndexed := timeIt(func() { _, err := cq.RunIndexed(ix, nil); must(err) })
+		tIndexed := timeIt(func() { _, err := cq.Run(context.Background(), jsonski.Indexed(ix), nil); must(err) })
 		ix.Release()
 		tBuild := timeIt(func() { jsonski.BuildIndex(data).Release() })
 
@@ -453,7 +454,7 @@ func (h *harness) sharedindex() {
 		ic.Get(data).Release() // warm so every timed Get hits
 		tCached := timeIt(func() {
 			cix := ic.Get(data)
-			_, err := cq.RunIndexed(cix, nil)
+			_, err := cq.Run(context.Background(), jsonski.Indexed(cix), nil)
 			must(err)
 			cix.Release()
 		})
@@ -472,7 +473,7 @@ func (h *harness) sharedindex() {
 		tMultiIx := timeIt(func() {
 			mix := jsonski.BuildIndex(data)
 			for _, g := range all {
-				_, err := g.RunIndexed(mix, nil)
+				_, err := g.Run(context.Background(), jsonski.Indexed(mix), nil)
 				must(err)
 			}
 			mix.Release()

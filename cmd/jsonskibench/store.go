@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -130,7 +131,7 @@ func (h *harness) store(jsonOut string) {
 		ic.Get(data).Release()
 		icacheHit := func() {
 			cix := ic.Get(data)
-			_, err := cq.RunIndexed(cix, nil)
+			_, err := cq.Run(context.Background(), jsonski.Indexed(cix), nil)
 			must(err)
 			cix.Release()
 		}
@@ -141,7 +142,7 @@ func (h *harness) store(jsonOut string) {
 		pix.Release()
 		catalogHit := func() {
 			gix, _ := cat.Get(data)
-			_, err := cq.RunIndexed(gix, nil)
+			_, err := cq.Run(context.Background(), jsonski.Indexed(gix), nil)
 			must(err)
 			gix.Release()
 		}
@@ -159,14 +160,14 @@ func (h *harness) store(jsonOut string) {
 		// Process start to first answer: rebuild masks vs map the sidecar.
 		tRebuildStart := timeIt(func() {
 			rix := jsonski.BuildIndex(data)
-			_, err := cq.RunIndexed(rix, nil)
+			_, err := cq.Run(context.Background(), jsonski.Indexed(rix), nil)
 			must(err)
 			rix.Release()
 		})
 		tColdStart := timeIt(func() {
 			lx, _, err := jsonski.LoadIndex(side)
 			must(err)
-			_, err = cq.RunIndexed(lx, nil)
+			_, err = cq.Run(context.Background(), jsonski.Indexed(lx), nil)
 			must(err)
 			lx.Release()
 		})
@@ -239,10 +240,8 @@ func (h *harness) storeCorpus(dir string) storeCorpusResult {
 	}
 	cq := jsonski.MustCompile(q.Small)
 	sweep := func(x *jsonski.Index, sp []jsonski.Span) {
-		for _, w := range sp {
-			_, err := cq.RunIndexedWindow(x, int(w.Start), int(w.End), nil)
-			must(err)
-		}
+		_, err := cq.Run(context.Background(), jsonski.Windows(x, sp), nil)
+		must(err)
 	}
 	lx, lspans, err := jsonski.LoadIndex(side)
 	must(err)

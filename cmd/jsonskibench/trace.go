@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -123,7 +124,7 @@ func (h *harness) trace(jsonOut string) {
 		if m.name == "baseline" {
 			pass = func() {
 				for _, rec := range recs {
-					_, err := cq.RunSink(rec, nil)
+					_, err := cq.Run(context.Background(), jsonski.Bytes(rec), nil)
 					must(err)
 				}
 			}
@@ -161,7 +162,7 @@ func (h *harness) trace(jsonOut string) {
 	// One accounted pass: where did the corpus's bytes go?
 	var total jsonski.Stats
 	for _, rec := range recs {
-		st, err := cq.RunSink(rec, nil)
+		st, err := cq.Run(context.Background(), jsonski.Bytes(rec), nil)
 		must(err)
 		total.Matches += st.Matches
 		total.InputBytes += st.InputBytes
@@ -218,13 +219,11 @@ func (h *harness) tracedPass(cq *jsonski.Query, recs [][]byte, tracer *telemetry
 	for _, rec := range recs {
 		root := tracer.StartRoot("POST /query", telemetry.SpanContext{})
 		sp := root.StartChild("engine.run")
-		var st jsonski.Stats
-		var err error
+		var opt jsonski.Option
 		if sp.Recording() {
-			st, err = cq.RunSinkExplain(rec, nil, spanEvents)
-		} else {
-			st, err = cq.RunSink(rec, nil)
+			opt = jsonski.Explain(spanEvents)
 		}
+		st, err := cq.Run(context.Background(), jsonski.Bytes(rec), nil, opt)
 		must(err)
 		if sp.Recording() {
 			sp.SetInt("jsonski.matches", st.Matches)

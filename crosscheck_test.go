@@ -7,9 +7,9 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"jsonski"
@@ -39,7 +39,7 @@ func methods() []method {
 				return nil, err
 			}
 			var out []string
-			_, err = cq.Run(data, func(m jsonski.Match) { out = append(out, string(m.Value)) })
+			_, err = cq.Run(context.Background(), jsonski.Bytes(data), jsonski.FuncSink(func(m jsonski.Match) { out = append(out, string(m.Value)) }))
 			return out, err
 		}},
 		{"jsonski-indexed", func(q string, data []byte) ([]string, error) {
@@ -50,7 +50,7 @@ func methods() []method {
 			ix := jsonski.BuildIndex(data)
 			defer ix.Release()
 			var out []string
-			_, err = cq.RunIndexed(ix, func(m jsonski.Match) { out = append(out, string(m.Value)) })
+			_, err = cq.Run(context.Background(), jsonski.Indexed(ix), jsonski.FuncSink(func(m jsonski.Match) { out = append(out, string(m.Value)) }))
 			return out, err
 		}},
 		{"charstream", func(q string, data []byte) ([]string, error) {
@@ -389,10 +389,11 @@ func genRecords(t *testing.T, rng *rand.Rand, n int) (records [][]byte, ndjson [
 	return records, []byte(buf.String())
 }
 
-// TestRecordEntryPointsAgreeWithDOM drives every record-sequence entry
-// point — RunRecords, RunReaderContext, RunReaderParallelContext, and
-// their QuerySet counterparts — over the same batch of random records
-// and requires each to reproduce the DOM baseline's per-record matches.
+// TestRecordEntryPointsAgreeWithDOM drives every record-sequence input
+// — Records, Windows over the NDJSON's record table, and Reader — at one
+// and four workers, through Query.Run and a one-member QuerySet.Run,
+// over the same batch of random records, and requires each to reproduce
+// the DOM baseline's per-record matches in record order.
 func TestRecordEntryPointsAgreeWithDOM(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	queries := []string{"$.a", "$.items[*]", "$[*].id", "$.b[*].c", "$[0]", "$.items[1:3]"}
@@ -400,84 +401,121 @@ func TestRecordEntryPointsAgreeWithDOM(t *testing.T) {
 		records, ndjson := genRecords(t, rng, 25)
 		query := queries[trial%len(queries)]
 		want := domRecordMatches(t, query, records)
-		cq, err := jsonski.Compile(query)
-		if err != nil {
-			t.Fatal(err)
+		q := jsonski.MustCompile(query)
+		qs := jsonski.MustCompileSet(query)
+		ix := jsonski.BuildIndex(ndjson)
+		inputs := []struct {
+			name string
+			in   func() jsonski.Input
+		}{
+			{"Records", func() jsonski.Input { return jsonski.Records(records) }},
+			{"Windows", func() jsonski.Input { return jsonski.Windows(ix, jsonski.RecordSpans(ndjson)) }},
+			{"Reader", func() jsonski.Input { return jsonski.Reader(bytes.NewReader(ndjson)) }},
 		}
-
-		var got []recMatch
-		collect := func(m jsonski.Match) {
-			got = append(got, recMatch{rec: m.Record, val: canonical(t, m.Value)})
-		}
-
-		got = nil
-		if _, err := cq.RunRecords(records, collect); err != nil {
-			t.Fatalf("RunRecords %s: %v", query, err)
-		}
-		sameRecMatches(t, "RunRecords "+query, got, want)
-
-		got = nil
-		if _, err := cq.RunReaderContext(context.Background(), bytes.NewReader(ndjson), collect); err != nil {
-			t.Fatalf("RunReaderContext %s: %v", query, err)
-		}
-		sameRecMatches(t, "RunReaderContext "+query, got, want)
-
-		// Parallel callback order is unspecified; matches of these pool
-		// queries are disjoint, so (record, start) restores input order.
-		type posMatch struct {
-			rec, start int
-			val        string
-		}
-		var par []posMatch
-		var mu sync.Mutex
-		if _, err := cq.RunReaderParallelContext(context.Background(), bytes.NewReader(ndjson), 4,
-			func(m jsonski.Match) {
-				v := canonical(t, m.Value)
-				mu.Lock()
-				par = append(par, posMatch{rec: m.Record, start: m.Start, val: v})
-				mu.Unlock()
-			}); err != nil {
-			t.Fatalf("RunReaderParallelContext %s: %v", query, err)
-		}
-		sort.Slice(par, func(i, j int) bool {
-			if par[i].rec != par[j].rec {
-				return par[i].rec < par[j].rec
+		for _, in := range inputs {
+			for _, workers := range []int{1, 4} {
+				for _, set := range []bool{false, true} {
+					label := fmt.Sprintf("%s %s Workers(%d) set=%v", query, in.name, workers, set)
+					var got []recMatch
+					sink := jsonski.FuncSink(func(m jsonski.Match) {
+						if m.Query != 0 {
+							t.Fatalf("%s: single-expression run emitted query index %d", label, m.Query)
+						}
+						got = append(got, recMatch{rec: m.Record, val: canonical(t, m.Value)})
+					})
+					var err error
+					if set {
+						_, err = qs.Run(context.Background(), in.in(), sink, jsonski.Workers(workers))
+					} else {
+						_, err = q.Run(context.Background(), in.in(), sink, jsonski.Workers(workers))
+					}
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					sameRecMatches(t, label, got, want)
+				}
 			}
-			return par[i].start < par[j].start
-		})
-		got = got[:0]
-		for _, p := range par {
-			got = append(got, recMatch{rec: p.rec, val: p.val})
 		}
-		sameRecMatches(t, "RunReaderParallelContext "+query, got, want)
+		ix.Release()
+	}
+}
 
-		// Single-expression QuerySet entry points must match too.
-		qs, err := jsonski.CompileSet(query)
-		if err != nil {
-			t.Fatal(err)
+// TestRecordInputsAgree pins the record-sequence inputs to one another
+// on an NDJSON corpus, whole and with a malformed record: Records over
+// the corpus split at its record table, Windows over the corpus index
+// and that table, and Reader, each at one and two workers, must agree on
+// every span (record-relative), the verdict (which record failed, if
+// any), Matches, InputBytes and SkippedBytes.
+func TestRecordInputsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(777))
+	_, valid := genRecords(t, rng, 40)
+	lines := bytes.Split(bytes.TrimSpace(valid), []byte("\n"))
+	broken := bytes.Join(append(append(lines[:20:20], []byte(`{"a": [1, {"b": `)), lines[20:]...), []byte("\n"))
+	type outcome struct {
+		spans   []string
+		verdict string
+		matches int64
+		input   int64
+		skipped [5]int64
+	}
+	for _, corpus := range []struct {
+		name string
+		data []byte
+	}{{"valid", valid}, {"malformed", broken}} {
+		spans := jsonski.RecordSpans(corpus.data)
+		split := make([][]byte, len(spans))
+		for i, sp := range spans {
+			split[i] = corpus.data[sp.Start:sp.End]
 		}
-		collectSet := func(m jsonski.SetMatch) {
-			if m.Query != 0 {
-				t.Fatalf("single-expression set emitted query index %d", m.Query)
+		ix := jsonski.BuildIndex(corpus.data)
+		// Fast-forwarding may skip a malformed region unread, so only
+		// some queries fail on the broken record; some must.
+		failed := 0
+		for _, query := range []string{"$.a", "$.items[*]", "$[*].id", "$..id", "$.items[?@.v]", "$['a','b']"} {
+			q := jsonski.MustCompile(query)
+			run := func(in jsonski.Input, base func(rec int) int, workers int) outcome {
+				var o outcome
+				st, err := q.Run(context.Background(), in, jsonski.FuncSink(func(m jsonski.Match) {
+					b := base(m.Record)
+					o.spans = append(o.spans, fmt.Sprintf("%d:%d-%d", m.Record, m.Start-b, m.End-b))
+				}), jsonski.Workers(workers))
+				o.verdict = "ok"
+				if err != nil {
+					o.verdict, _, _ = strings.Cut(err.Error(), ": ")
+				}
+				o.matches, o.input, o.skipped = st.Matches, st.InputBytes, st.SkippedBytes
+				return o
 			}
-			got = append(got, recMatch{rec: m.Record, val: canonical(t, m.Value)})
+			zero := func(int) int { return 0 }
+			want := run(jsonski.Records(split), zero, 1)
+			switch {
+			case want.verdict == "record 20":
+				failed++
+			case want.verdict != "ok":
+				t.Fatalf("%s %s: verdict %q", corpus.name, query, want.verdict)
+			}
+			for _, workers := range []int{1, 2} {
+				for name, got := range map[string]outcome{
+					"Records": run(jsonski.Records(split), zero, workers),
+					"Windows": run(jsonski.Windows(ix, spans), func(rec int) int { return int(spans[rec].Start) }, workers),
+					"Reader":  run(jsonski.Reader(bytes.NewReader(corpus.data)), zero, workers),
+				} {
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s %s %s Workers(%d):\n got  %+v\n want %+v", corpus.name, query, name, workers, got, want)
+					}
+				}
+			}
 		}
-		got = nil
-		if _, err := qs.RunRecords(records, collectSet); err != nil {
-			t.Fatalf("QuerySet.RunRecords %s: %v", query, err)
+		if (failed > 0) != (corpus.name == "malformed") {
+			t.Errorf("%s: %d queries failed on record 20", corpus.name, failed)
 		}
-		sameRecMatches(t, "QuerySet.RunRecords "+query, got, want)
-
-		got = nil
-		if _, err := qs.RunReaderContext(context.Background(), bytes.NewReader(ndjson), collectSet); err != nil {
-			t.Fatalf("QuerySet.RunReaderContext %s: %v", query, err)
-		}
-		sameRecMatches(t, "QuerySet.RunReaderContext "+query, got, want)
+		ix.Release()
 	}
 }
 
 // TestQuerySetReaderAgreesWithDOMPerQuery runs multi-expression
-// QuerySets through RunRecords and RunReaderContext and compares each
+// QuerySets over Records and Reader input, serially and at two workers,
+// and compares each
 // member query's matches with its own DOM baseline run. The sets mix
 // plain paths with filter, descendant and union members, and one holds
 // no plain path at all: every member must answer on every entry point.
@@ -517,9 +555,9 @@ func TestQuerySetReaderAgreesWithDOMPerQuery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := func(label string, eval func(fn func(jsonski.SetMatch)) error) {
+			run := func(label string, eval func(fn func(jsonski.Match)) error) {
 				got := make([][]recMatch, len(exprs))
-				if err := eval(func(m jsonski.SetMatch) {
+				if err := eval(func(m jsonski.Match) {
 					got[m.Query] = append(got[m.Query], recMatch{rec: m.Record, val: canonical(t, m.Value)})
 				}); err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -528,14 +566,16 @@ func TestQuerySetReaderAgreesWithDOMPerQuery(t *testing.T) {
 					sameRecMatches(t, label+" "+expr, unordered(expr, got[qi]), want[qi])
 				}
 			}
-			run("QuerySet.RunRecords", func(fn func(jsonski.SetMatch)) error {
-				_, err := qs.RunRecords(records, fn)
-				return err
-			})
-			run("QuerySet.RunReaderContext", func(fn func(jsonski.SetMatch)) error {
-				_, err := qs.RunReaderContext(context.Background(), bytes.NewReader(ndjson), fn)
-				return err
-			})
+			for _, workers := range []int{1, 2} {
+				run(fmt.Sprintf("Records Workers(%d)", workers), func(fn func(jsonski.Match)) error {
+					_, err := qs.Run(context.Background(), jsonski.Records(records), jsonski.FuncSink(fn), jsonski.Workers(workers))
+					return err
+				})
+				run(fmt.Sprintf("Reader Workers(%d)", workers), func(fn func(jsonski.Match)) error {
+					_, err := qs.Run(context.Background(), jsonski.Reader(bytes.NewReader(ndjson)), jsonski.FuncSink(fn), jsonski.Workers(workers))
+					return err
+				})
+			}
 		})
 	}
 }
@@ -553,14 +593,14 @@ func TestIndexedEntryPointsAgree(t *testing.T) {
 		}
 		ix := jsonski.BuildIndex(enc)
 		var lazySet, ixSet []string
-		if _, err := qs.Run(enc, func(m jsonski.SetMatch) {
+		if _, err := qs.Run(context.Background(), jsonski.Bytes(enc), jsonski.FuncSink(func(m jsonski.Match) {
 			lazySet = append(lazySet, fmt.Sprintf("%d:%s", m.Query, m.Value))
-		}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := qs.RunIndexed(ix, func(m jsonski.SetMatch) {
+		if _, err := qs.Run(context.Background(), jsonski.Indexed(ix), jsonski.FuncSink(func(m jsonski.Match) {
 			ixSet = append(ixSet, fmt.Sprintf("%d:%s", m.Query, m.Value))
-		}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 		if fmt.Sprint(lazySet) != fmt.Sprint(ixSet) {
@@ -613,59 +653,21 @@ type ctsCase struct {
 // shrink.
 var rfc9535Skips = map[string]string{}
 
-// ctsEntryPoints adapts every public evaluation surface plus the
-// internal baselines to one signature.
+// ctsEntryPoints adapts every row of the entry point's input × option
+// matrix (jsonski.RunRows) plus the internal baselines to one signature.
 type ctsEntryPoint struct {
 	name string
 	eval func(q *jsonski.Query, sel string, data []byte) ([]string, error)
 }
 
 func ctsEntryPoints() []ctsEntryPoint {
-	collect := func(out *[]string) func(jsonski.Match) {
-		return func(m jsonski.Match) { *out = append(*out, string(m.Value)) }
+	var eps []ctsEntryPoint
+	for _, row := range jsonski.RunRows() {
+		eps = append(eps, ctsEntryPoint{row.Name, func(q *jsonski.Query, _ string, data []byte) ([]string, error) {
+			return row.Eval(q, data)
+		}})
 	}
-	return []ctsEntryPoint{
-		{"Run", func(q *jsonski.Query, _ string, data []byte) ([]string, error) {
-			var out []string
-			_, err := q.Run(data, collect(&out))
-			return out, err
-		}},
-		{"RunIndexed", func(q *jsonski.Query, _ string, data []byte) ([]string, error) {
-			ix := jsonski.BuildIndex(data)
-			defer ix.Release()
-			var out []string
-			_, err := q.RunIndexed(ix, collect(&out))
-			return out, err
-		}},
-		{"RunIndexedWindow", func(q *jsonski.Query, _ string, data []byte) ([]string, error) {
-			ix := jsonski.BuildIndex(data)
-			defer ix.Release()
-			var out []string
-			_, err := q.RunIndexedWindow(ix, 0, len(data), collect(&out))
-			return out, err
-		}},
-		{"All", func(q *jsonski.Query, _ string, data []byte) ([]string, error) {
-			vals, err := q.All(data)
-			out := make([]string, len(vals))
-			for i, v := range vals {
-				out[i] = string(v)
-			}
-			return out, err
-		}},
-		{"QuerySet", func(_ *jsonski.Query, sel string, data []byte) ([]string, error) {
-			qs, err := jsonski.CompileSet(sel)
-			if err != nil {
-				return nil, err
-			}
-			var out []string
-			_, err = qs.Run(data, func(m jsonski.SetMatch) { out = append(out, string(m.Value)) })
-			return out, err
-		}},
-		{"RunExplain", func(q *jsonski.Query, _ string, data []byte) ([]string, error) {
-			var out []string
-			_, err := q.RunExplain(data, 0, collect(&out))
-			return out, err
-		}},
+	return append(eps, []ctsEntryPoint{
 		{"baseline/domparser", func(_ *jsonski.Query, sel string, data []byte) ([]string, error) {
 			ev, err := domparser.Compile(sel)
 			if err != nil {
@@ -693,7 +695,7 @@ func ctsEntryPoints() []ctsEntryPoint {
 			_, err = ev.Run(data, func(s, e int) { out = append(out, string(data[s:e])) })
 			return out, err
 		}},
-	}
+	}...)
 }
 
 // evalCTSCase runs one suite case through every entry point; the first

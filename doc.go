@@ -194,8 +194,8 @@ func (d *Document) Stats() Stats {
 	return out
 }
 
-// Explain turns on explain-mode recording, as RunExplain does for
-// compiled queries: subsequent navigation logs up to maxEvents
+// Explain turns on explain-mode recording, as the Explain option does
+// for compiled queries: subsequent navigation logs up to maxEvents
 // fast-forward movements (DefaultTraceEvents when maxEvents <= 0),
 // retrievable via Stats().Trace(). The log accumulates across
 // Reset/ResetIndexed until NoExplain or a fresh Explain call.

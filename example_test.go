@@ -1,6 +1,7 @@
 package jsonski_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -17,9 +18,9 @@ func ExampleCompile() {
 	  {"title": "Sword of Honour", "price": 12.99},
 	  {"title": "Moby Dick", "price": 8.99}
 	]}}`)
-	q.Run(data, func(m jsonski.Match) {
+	q.Run(context.Background(), jsonski.Bytes(data), jsonski.FuncSink(func(m jsonski.Match) {
 		fmt.Println(m.String())
-	})
+	}))
 	// Output:
 	// Sayings of the Century
 	// Sword of Honour
@@ -32,14 +33,14 @@ func ExampleQuery_Count() {
 	// Output: 2
 }
 
-func ExampleQuery_RunReader() {
+func ExampleQuery_Run_reader() {
 	q := jsonski.MustCompile("$.level")
 	ndjson := `{"level": "info", "msg": "a"}
 {"level": "error", "msg": "b"}
 `
-	q.RunReader(strings.NewReader(ndjson), func(m jsonski.Match) {
+	q.Run(context.Background(), jsonski.Reader(strings.NewReader(ndjson)), jsonski.FuncSink(func(m jsonski.Match) {
 		fmt.Printf("record %d: %s\n", m.Record, m.String())
-	})
+	}))
 	// Output:
 	// record 0: info
 	// record 1: error
@@ -48,9 +49,9 @@ func ExampleQuery_RunReader() {
 func ExampleQuerySet_Run() {
 	qs := jsonski.MustCompileSet("$.user.name", "$.user.id")
 	data := []byte(`{"user": {"name": "ada", "id": 7}}`)
-	qs.Run(data, func(m jsonski.SetMatch) {
+	qs.Run(context.Background(), jsonski.Bytes(data), jsonski.FuncSink(func(m jsonski.Match) {
 		fmt.Printf("%s = %s\n", qs.Expr(m.Query), m.Value)
-	})
+	}))
 	// Output:
 	// $.user.name = "ada"
 	// $.user.id = 7
@@ -59,9 +60,9 @@ func ExampleQuerySet_Run() {
 func ExampleMustCompile_descendant() {
 	q := jsonski.MustCompile("$..price")
 	data := []byte(`{"book": {"price": 9}, "bicycle": {"spec": {"price": 19}}}`)
-	q.Run(data, func(m jsonski.Match) {
+	q.Run(context.Background(), jsonski.Bytes(data), jsonski.FuncSink(func(m jsonski.Match) {
 		fmt.Println(string(m.Value))
-	})
+	}))
 	// Output:
 	// 9
 	// 19
@@ -76,7 +77,7 @@ func ExampleUnquote() {
 func ExampleQuery_Run_stats() {
 	q := jsonski.MustCompile("$.place.name")
 	data := []byte(`{"coordinates": [40.74, -73.99], "user": {"id": 6}, "place": {"name": "Manhattan", "bb": {"pos": [[1,2]]}}}`)
-	stats, _ := q.Run(data, nil)
+	stats, _ := q.Run(context.Background(), jsonski.Bytes(data), nil)
 	fmt.Printf("matches=%d skipped>half=%v\n", stats.Matches, stats.FastForwardRatio() > 0.5)
 	// Output: matches=1 skipped>half=true
 }

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -36,14 +37,16 @@ func main() {
 
 	counts := make([]int64, qs.Len())
 	var cheapest float64 = 1 << 30
-	st, err := qs.Run(data, func(m jsonski.SetMatch) {
+	ctx := context.Background()
+	// FuncSink tags each match with its member's position in the set.
+	st, err := qs.Run(ctx, jsonski.Bytes(data), jsonski.FuncSink(func(m jsonski.Match) {
 		counts[m.Query]++
 		if qs.Expr(m.Query) == "$.it[*].salePrice" {
 			if f, err := m.Float(); err == nil && f < cheapest {
 				cheapest = f
 			}
 		}
-	})
+	}))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,14 +54,14 @@ func main() {
 	// an index built once whose masks every member borrows, so
 	// classification is paid once rather than per query.
 	start := time.Now()
-	if _, err := qs.Run(data, nil); err != nil {
+	if _, err := qs.Run(ctx, jsonski.Bytes(data), nil); err != nil {
 		log.Fatal(err)
 	}
 	lazy := time.Since(start)
 
 	start = time.Now()
 	ix := jsonski.BuildIndex(data)
-	if _, err := qs.RunIndexed(ix, nil); err != nil {
+	if _, err := qs.Run(ctx, jsonski.Indexed(ix), nil); err != nil {
 		log.Fatal(err)
 	}
 	ix.Release()

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,7 +22,7 @@ func main() {
 
 	run := func(expr string) {
 		q := jsonski.MustCompile(expr)
-		st, err := q.Run(data, nil)
+		st, err := q.Run(context.Background(), jsonski.Bytes(data), nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,9 +32,9 @@ func main() {
 	}
 
 	// Run streams the buffer in one pass, invoking the callback per match.
-	stats, err := q.Run([]byte(tweet), func(m jsonski.Match) {
+	stats, err := q.Run(context.Background(), jsonski.Bytes([]byte(tweet)), jsonski.FuncSink(func(m jsonski.Match) {
 		fmt.Printf("match at [%d:%d]: %s\n", m.Start, m.End, m.Value)
-	})
+	}))
 	if err != nil {
 		log.Fatal(err)
 	}

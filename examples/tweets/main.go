@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -32,12 +33,12 @@ func main() {
 
 	start := time.Now()
 	shown := 0
-	stats, err := urls.Run(data, func(m jsonski.Match) {
+	stats, err := urls.Run(context.Background(), jsonski.Bytes(data), jsonski.FuncSink(func(m jsonski.Match) {
 		if shown < 5 {
 			fmt.Printf("url: %s\n", m.Value)
 			shown++
 		}
-	})
+	}))
 	if err != nil {
 		log.Fatal(err)
 	}

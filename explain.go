@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"jsonski/internal/core"
 	"jsonski/internal/fastforward"
 	"jsonski/internal/telemetry"
 )
@@ -22,9 +21,9 @@ type TraceEvent struct {
 	State int    `json:"state"` // automaton state / NFA state-set bits
 }
 
-// Trace is the bounded fast-forward event log of an explain-mode run:
-// *where the bytes went*. Matching runs produce identical output with
-// and without a trace; the trace only observes.
+// Trace is the bounded fast-forward event log of a run with the Explain
+// option: *where the bytes went*. Matching runs produce identical output
+// with and without a trace; the trace only observes.
 type Trace struct {
 	// Events lists the movements in stream order, capped at the limit
 	// the run was started with.
@@ -35,7 +34,7 @@ type Trace struct {
 	Dropped int `json:"dropped,omitempty"`
 }
 
-// DefaultTraceEvents is the event cap used when RunExplain is given a
+// DefaultTraceEvents is the event cap used when Explain is given a
 // non-positive limit.
 const DefaultTraceEvents = telemetry.DefaultTraceLimit
 
@@ -58,67 +57,6 @@ func (t *Trace) Dump(w io.Writer) {
 	if t.Dropped > 0 {
 		fmt.Fprintf(w, "... %d further events dropped (cap %d)\n", t.Dropped, len(t.Events))
 	}
-}
-
-// RunExplain is Run in explain mode: alongside the usual statistics it
-// records up to maxEvents fast-forward movements (DefaultTraceEvents
-// when maxEvents <= 0), retrievable via Stats.Trace. Explain runs use
-// the same engines and produce the same matches; only the recording
-// differs, so a slow query can be re-run verbatim to see why it moved
-// the way it did.
-func (q *Query) RunExplain(data []byte, maxEvents int, fn func(Match)) (Stats, error) {
-	e := q.pool.Get().(runner)
-	defer q.pool.Put(e)
-	tr := telemetry.NewTrace(maxEvents)
-	e.SetTrace(tr)
-	defer e.SetTrace(nil)
-	var emit core.EmitFunc
-	if fn != nil {
-		emit = func(s, en int) {
-			fn(Match{Start: s, End: en, Value: data[s:en]})
-		}
-	}
-	st, err := e.Run(data, emit)
-	var out Stats
-	out.add(st)
-	out.trace = publicTrace(tr)
-	return out, err
-}
-
-// RunSinkExplain is RunSink in explain mode: matches stream into sink
-// exactly as in RunSink while up to maxEvents fast-forward movements
-// (DefaultTraceEvents when maxEvents <= 0) are recorded, retrievable via
-// Stats.Trace. This is the entry point the daemon uses for sampled
-// requests: the movement log becomes span events without disturbing the
-// streaming output path.
-func (q *Query) RunSinkExplain(data []byte, sink Sink, maxEvents int) (Stats, error) {
-	e := q.pool.Get().(runner)
-	defer q.pool.Put(e)
-	tr := telemetry.NewTrace(maxEvents)
-	e.SetTrace(tr)
-	defer e.SetTrace(nil)
-	sr := newSinkRun(sink)
-	st, err := e.Run(data, sr.bind(0, data))
-	var out Stats
-	out.add(st)
-	out.trace = publicTrace(tr)
-	return out, sr.finish(err)
-}
-
-// RunIndexedSinkExplain is RunIndexedSink in explain mode. The index
-// must stay alive (not finally Released) for the duration of the call.
-func (q *Query) RunIndexedSinkExplain(ix *Index, sink Sink, maxEvents int) (Stats, error) {
-	e := q.pool.Get().(runner)
-	defer q.pool.Put(e)
-	tr := telemetry.NewTrace(maxEvents)
-	e.SetTrace(tr)
-	defer e.SetTrace(nil)
-	sr := newSinkRun(sink)
-	st, err := e.RunIndexed(ix.ix, sr.bind(0, ix.Data()))
-	var out Stats
-	out.add(st)
-	out.trace = publicTrace(tr)
-	return out, sr.finish(err)
 }
 
 // publicTrace converts the internal event log to the exported form.

@@ -2,6 +2,7 @@ package jsonski_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -21,7 +22,7 @@ var explainDoc = []byte(`{"alpha": {"x": 1, "y": [1, 2, 3]}, "beta": [10, 20, 30
 // accident.
 func TestExplainGolden(t *testing.T) {
 	q := jsonski.MustCompile("$.gamma.target")
-	st, err := q.RunExplain(explainDoc, 0, nil)
+	st, err := q.Run(context.Background(), jsonski.Bytes(explainDoc), nil, jsonski.Explain(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +73,8 @@ func TestExplainMatchesRegularRun(t *testing.T) {
 				*out = append(*out, append([]byte(nil), m.Value...))
 			}
 		}
-		st1, err1 := q.Run(explainDoc, collect(&plain))
-		st2, err2 := q.RunExplain(explainDoc, 0, collect(&explained))
+		st1, err1 := q.Run(context.Background(), jsonski.Bytes(explainDoc), jsonski.FuncSink(collect(&plain)))
+		st2, err2 := q.Run(context.Background(), jsonski.Bytes(explainDoc), jsonski.FuncSink(collect(&explained)), jsonski.Explain(0))
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s: errs %v / %v", path, err1, err2)
 		}
@@ -97,7 +98,7 @@ func TestExplainMatchesRegularRun(t *testing.T) {
 // never scales with the input.
 func TestExplainBounded(t *testing.T) {
 	q := jsonski.MustCompile("$.gamma.target")
-	st, err := q.RunExplain(explainDoc, 3, nil)
+	st, err := q.Run(context.Background(), jsonski.Bytes(explainDoc), nil, jsonski.Explain(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestExplainBounded(t *testing.T) {
 func TestExplainNFAStateSet(t *testing.T) {
 	doc := []byte(`{"keep": {"deep": 1}, "skip": "nothing"}`)
 	q := jsonski.MustCompile("$..deep")
-	st, err := q.RunExplain(doc, 0, nil)
+	st, err := q.Run(context.Background(), jsonski.Bytes(doc), nil, jsonski.Explain(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestExplainNFAStateSet(t *testing.T) {
 // TestExplainDump smoke-tests the CLI rendering.
 func TestExplainDump(t *testing.T) {
 	q := jsonski.MustCompile("$.gamma.target")
-	st, err := q.RunExplain(explainDoc, 0, nil)
+	st, err := q.Run(context.Background(), jsonski.Bytes(explainDoc), nil, jsonski.Explain(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,10 +148,10 @@ func TestExplainDump(t *testing.T) {
 }
 
 // TestOrdinaryRunHasNoTrace pins the zero-overhead contract's API half:
-// non-explain entry points never attach a trace.
+// runs without the Explain option never attach a trace.
 func TestOrdinaryRunHasNoTrace(t *testing.T) {
 	q := jsonski.MustCompile("$.gamma.target")
-	st, err := q.Run(explainDoc, nil)
+	st, err := q.Run(context.Background(), jsonski.Bytes(explainDoc), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestExplainFilterProbePlans(t *testing.T) {
 		`], "max": 10}`)
 
 	q := jsonski.MustCompile("$.items[?@.price < 10]")
-	st, err := q.RunExplain(doc, 0, nil)
+	st, err := q.Run(context.Background(), jsonski.Bytes(doc), nil, jsonski.Explain(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestExplainFilterProbePlans(t *testing.T) {
 	}
 
 	q2 := jsonski.MustCompile("$.items[?@.price < $.max]")
-	st2, err := q2.RunExplain(doc, 0, nil)
+	st2, err := q2.Run(context.Background(), jsonski.Bytes(doc), nil, jsonski.Explain(0))
 	if err != nil {
 		t.Fatal(err)
 	}

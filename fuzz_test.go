@@ -2,6 +2,7 @@ package jsonski_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"strconv"
@@ -240,24 +241,13 @@ func FuzzDifferential(f *testing.F) {
 		if err != nil {
 			t.Fatalf("pool query %q: %v", expr, err)
 		}
-		var lazy []string
-		if _, err := q.Run(data, func(m jsonski.Match) {
-			lazy = append(lazy, string(bytes.TrimSpace(m.Value)))
-		}); err != nil {
-			t.Fatalf("engine %q over %q: %v", expr, data, err)
+		for _, row := range jsonski.RunRows() {
+			got, err := row.Eval(q, data)
+			if err != nil {
+				t.Fatalf("%s %q over %q: %v", row.Name, expr, data, err)
+			}
+			compareMatches(t, row.Name+" vs DOM baseline", expr, data, got, want)
 		}
-		compareMatches(t, "engine vs DOM baseline", expr, data, lazy, want)
-
-		ix := jsonski.BuildIndex(data)
-		var indexed []string
-		_, err = q.RunIndexed(ix, func(m jsonski.Match) {
-			indexed = append(indexed, string(bytes.TrimSpace(m.Value)))
-		})
-		ix.Release()
-		if err != nil {
-			t.Fatalf("indexed engine %q over %q: %v", expr, data, err)
-		}
-		compareMatches(t, "indexed engine vs DOM baseline", expr, data, indexed, want)
 
 		// Output modes: a Tee drives the buffered and zero-copy streaming
 		// sinks from one evaluation; their renderings must be
@@ -265,7 +255,7 @@ func FuzzDifferential(f *testing.F) {
 		// matches.
 		var bufSink jsonski.BufferSink
 		var streamed bytes.Buffer
-		if _, err := q.RunSink(data, jsonski.Tee(&bufSink, jsonski.NewStreamSink(&streamed))); err != nil {
+		if _, err := q.Run(context.Background(), jsonski.Bytes(data), jsonski.Tee(&bufSink, jsonski.NewStreamSink(&streamed))); err != nil {
 			t.Fatalf("sink run %q over %q: %v", expr, data, err)
 		}
 		var rendered bytes.Buffer
@@ -279,7 +269,7 @@ func FuzzDifferential(f *testing.F) {
 			t.Fatalf("buffered and streaming sinks diverge for %q over %q:\n buffered %q\n streamed %q",
 				expr, data, rendered.Bytes(), streamed.Bytes())
 		}
-		compareMatches(t, "buffered sink vs callback", expr, data, sunk, lazy)
+		compareMatches(t, "buffered sink vs DOM baseline", expr, data, sunk, want)
 	})
 }
 

@@ -2,6 +2,7 @@ package jsonski_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -16,7 +17,7 @@ func countIndexed(t *testing.T, expr string, ix *jsonski.Index) int {
 		t.Fatal(err)
 	}
 	n := 0
-	if _, err := q.RunIndexed(ix, func(jsonski.Match) { n++ }); err != nil {
+	if _, err := q.Run(context.Background(), jsonski.Indexed(ix), jsonski.FuncSink(func(jsonski.Match) { n++ })); err != nil {
 		t.Fatal(err)
 	}
 	return n

@@ -126,83 +126,47 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The request's root span (nil unless tracing is on and the request
-	// was sampled or force-collected); eval closures hang per-record
+	// was sampled or force-collected); evaluations hang per-record
 	// engine spans off it from pool workers, which StartChild permits.
 	rsp := telemetry.SpanFromContext(r.Context())
-	if explainRequested(r) {
-		s.serve(w, r, evaluator{
-			explain: true,
-			eval: func(rec []byte, idx int) recResult {
-				buf := getLineBuf()
-				sp := rsp.StartChild("engine.run")
-				t0 := time.Now()
-				st, err := q.RunExplain(rec, perRecordExplainEvents, queryLine(buf, idx))
-				s.m.recordLatency.Observe(time.Since(t0))
-				s.m.addStats(st)
-				s.finishEngineSpan(sp, idx, st, err)
-				return recResult{idx: idx, out: buf.Bytes(), buf: buf, err: err, trace: st.Trace()}
-			},
-		})
-		return
+	explain := explainRequested(r)
+	// run evaluates one input into sink. An explain request records each
+	// record's movements for the response trailer; otherwise a sampled
+	// engine span records them as its events. Same engine, same output.
+	run := func(sp *telemetry.Span, idx int, in jsonski.Input, sink jsonski.Sink) (jsonski.Stats, error) {
+		var opt jsonski.Option
+		switch {
+		case explain:
+			opt = jsonski.Explain(perRecordExplainEvents)
+		case sp.Recording():
+			opt = jsonski.Explain(spanTraceEvents)
+		}
+		t0 := time.Now()
+		st, err := q.Run(r.Context(), in, sink, opt)
+		s.m.recordLatency.Observe(time.Since(t0))
+		s.m.addStats(st)
+		s.finishEngineSpan(sp, idx, st, err)
+		return st, err
 	}
 	s.serve(w, r, evaluator{
+		explain: explain,
 		eval: func(rec []byte, idx int) recResult {
 			buf := getLineBuf()
 			sink := &jsonski.StreamSink{W: buf, Prefix: recordPrefix(idx), Suffix: lineSuffix}
-			sp := rsp.StartChild("engine.run")
-			t0 := time.Now()
-			var (
-				st  jsonski.Stats
-				err error
-			)
-			if sp.Recording() {
-				// Sampled: the explain-sink run records the movement log
-				// that becomes the span's events. Same engine, same output.
-				st, err = q.RunSinkExplain(rec, sink, spanTraceEvents)
-			} else {
-				st, err = q.RunSink(rec, sink)
-			}
-			s.m.recordLatency.Observe(time.Since(t0))
-			s.m.addStats(st)
-			s.finishEngineSpan(sp, idx, st, err)
-			return recResult{idx: idx, out: buf.Bytes(), buf: buf, err: err}
+			st, err := run(rsp.StartChild("engine.run"), idx, jsonski.Bytes(rec), sink)
+			return recResult{idx: idx, out: buf.Bytes(), buf: buf, err: err, trace: st.Trace()}
 		},
 		single: func(w io.Writer, data []byte, ix *jsonski.Index) error {
-			sink := &jsonski.StreamSink{W: w, Prefix: singlePrefix, Suffix: lineSuffix}
 			sp := rsp.StartChild("engine.run")
 			sp.SetBool("jsonski.indexed", ix != nil)
-			t0 := time.Now()
-			var (
-				st  jsonski.Stats
-				err error
-			)
-			switch {
-			case ix != nil && sp.Recording():
-				st, err = q.RunIndexedSinkExplain(ix, sink, spanTraceEvents)
-			case ix != nil:
-				st, err = q.RunIndexedSink(ix, sink)
-			case sp.Recording():
-				st, err = q.RunSinkExplain(data, sink, spanTraceEvents)
-			default:
-				st, err = q.RunSink(data, sink)
+			in := jsonski.Bytes(data)
+			if ix != nil {
+				in = jsonski.Indexed(ix)
 			}
-			s.m.recordLatency.Observe(time.Since(t0))
-			s.m.addStats(st)
-			s.finishEngineSpan(sp, 0, st, err)
+			_, err := run(sp, 0, in, &jsonski.StreamSink{W: w, Prefix: singlePrefix, Suffix: lineSuffix})
 			return err
 		},
 	})
-}
-
-// queryLine renders each /query match as an NDJSON line into buf.
-func queryLine(buf *bytes.Buffer, idx int) func(jsonski.Match) {
-	return func(m jsonski.Match) {
-		buf.WriteString(`{"record":`)
-		buf.WriteString(strconv.Itoa(idx))
-		buf.WriteString(`,"value":`)
-		buf.Write(m.Value)
-		buf.WriteString("}\n")
-	}
 }
 
 func (s *Server) handleMulti(w http.ResponseWriter, r *http.Request) {
@@ -213,9 +177,9 @@ func (s *Server) handleMulti(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if explainRequested(r) {
-		// A QuerySet runs one pass per member; its Stats are the members'
-		// sum and it records no explain trace, so explain is a
-		// /query-only feature.
+		// A QuerySet runs one pass per member, and the trailer's events
+		// carry a record but no member, so explain is a /query-only
+		// feature.
 		s.jsonError(w, http.StatusBadRequest, errors.New("explain is not supported on /multi; use /query"))
 		return
 	}
@@ -225,34 +189,30 @@ func (s *Server) handleMulti(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rsp := telemetry.SpanFromContext(r.Context())
-	s.serve(w, r, evaluator{
-		eval: func(rec []byte, idx int) recResult {
-			buf := getLineBuf()
-			sp := rsp.StartChild("engine.run")
-			t0 := time.Now()
-			st, err := qs.Run(rec, multiLine(buf, idx))
-			s.m.recordLatency.Observe(time.Since(t0))
-			s.m.addStats(st)
-			s.finishEngineSpan(sp, idx, st, err)
-			return recResult{idx: idx, out: buf.Bytes(), buf: buf, err: err}
-		},
-		evalIndexed: func(ix *jsonski.Index, idx int) recResult {
-			buf := getLineBuf()
-			sp := rsp.StartChild("engine.run")
+	run := func(idx int, in jsonski.Input, indexed bool) recResult {
+		buf := getLineBuf()
+		sp := rsp.StartChild("engine.run")
+		if indexed {
 			sp.SetBool("jsonski.indexed", true)
-			t0 := time.Now()
-			st, err := qs.RunIndexed(ix, multiLine(buf, idx))
-			s.m.recordLatency.Observe(time.Since(t0))
-			s.m.addStats(st)
-			s.finishEngineSpan(sp, idx, st, err)
-			return recResult{idx: idx, out: buf.Bytes(), buf: buf, err: err}
+		}
+		t0 := time.Now()
+		st, err := qs.Run(r.Context(), in, jsonski.FuncSink(multiLine(buf, idx)))
+		s.m.recordLatency.Observe(time.Since(t0))
+		s.m.addStats(st)
+		s.finishEngineSpan(sp, idx, st, err)
+		return recResult{idx: idx, out: buf.Bytes(), buf: buf, err: err}
+	}
+	s.serve(w, r, evaluator{
+		eval: func(rec []byte, idx int) recResult { return run(idx, jsonski.Bytes(rec), false) },
+		evalIndexed: func(ix *jsonski.Index, idx int) recResult {
+			return run(idx, jsonski.Indexed(ix), true)
 		},
 	})
 }
 
 // multiLine renders each /multi match as an NDJSON line into buf.
-func multiLine(buf *bytes.Buffer, idx int) func(jsonski.SetMatch) {
-	return func(m jsonski.SetMatch) {
+func multiLine(buf *bytes.Buffer, idx int) func(jsonski.Match) {
+	return func(m jsonski.Match) {
 		buf.WriteString(`{"record":`)
 		buf.WriteString(strconv.Itoa(idx))
 		buf.WriteString(`,"query":`)

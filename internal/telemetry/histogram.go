@@ -22,10 +22,9 @@ const NumBuckets = 44
 
 // Histogram is a lock-free log-bucketed latency histogram. Observe may
 // be called from any number of goroutines; Snapshot may be taken at any
-// time. Counters are individually atomic, merged the way core.StatsAccum
-// merges engine counters: a snapshot racing an Observe can be torn
-// across buckets — fine for metrics — while totals read after all
-// writers finish are exact.
+// time. Counters are individually atomic: a snapshot racing an Observe
+// can be torn across buckets — fine for metrics — while totals read
+// after all writers finish are exact.
 type Histogram struct {
 	count   atomic.Int64
 	sum     atomic.Int64 // nanoseconds

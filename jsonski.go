@@ -26,19 +26,22 @@
 // to a reference evaluator for the deferred tail.
 //
 //	q := jsonski.MustCompile("$.place.name")
-//	stats, err := q.Run(data, func(m jsonski.Match) {
+//	stats, err := q.Run(ctx, jsonski.Bytes(data), jsonski.FuncSink(func(m jsonski.Match) {
 //	    fmt.Printf("%s\n", m.Value)
-//	})
+//	}))
+//
+// Run is the one way to evaluate a query. Its Input is one record
+// (Bytes, Indexed) or a record sequence (Records, Windows, Reader); its
+// Sink receives the matches (FuncSink, BufferSink, StreamSink, or nil to
+// only count); its Options are Workers and Explain.
 package jsonski
 
 import (
-	"fmt"
+	"context"
 	"sync"
-	"sync/atomic"
 
 	"jsonski/internal/automaton"
 	"jsonski/internal/core"
-	"jsonski/internal/fastforward"
 	"jsonski/internal/jsonpath"
 	"jsonski/internal/stream"
 	"jsonski/internal/telemetry"
@@ -52,9 +55,12 @@ type Match struct {
 	// Value is input[Start:End]: the matched JSON value, whitespace
 	// trimmed (strings keep their quotes).
 	Value []byte
-	// Record is the index of the containing record for the RunRecords
-	// entry points, 0 for Run.
+	// Record is the index of the containing record in a record-sequence
+	// Input, 0 for a single record.
 	Record int
+	// Query is the position of the matching member in a QuerySet, 0 for
+	// a single Query.
+	Query int
 }
 
 // Stats reports how a run spent its input, mirroring the paper's
@@ -71,14 +77,14 @@ type Stats struct {
 	latency *LatencySnapshot
 }
 
-// Trace returns the bounded fast-forward event log recorded by an
-// explain-mode run (RunExplain), or nil for ordinary runs.
+// Trace returns the bounded fast-forward event log recorded by a run
+// with the Explain option, or nil for ordinary runs.
 func (s Stats) Trace() *Trace { return s.trace }
 
-// Latency returns the per-record evaluation-latency distribution
-// recorded by the streaming reader entry points (RunReader and friends),
-// or nil for single-buffer runs, which have exactly one latency — the
-// call's own duration.
+// Latency returns the per-record evaluation-latency distribution of a
+// record-sequence run (Records, Windows, Reader), or nil for a
+// single-record run, which has exactly one latency — the call's own
+// duration.
 func (s Stats) Latency() *LatencySnapshot { return s.latency }
 
 // FastForwardRatio is the fraction of input bytes that were
@@ -118,29 +124,17 @@ func (s Stats) ScannedBytes() int64 {
 	return n
 }
 
+// add folds one engine run's counters into s.
 func (s *Stats) add(st core.Stats) {
-	s.Matches += st.Matches
-	s.InputBytes += st.InputBytes
-	for g := 0; g < int(fastforward.NumGroups); g++ {
-		s.SkippedBytes[g] += st.Skipped.SkippedBytes[g]
-	}
+	s.merge(Stats{Matches: st.Matches, InputBytes: st.InputBytes, SkippedBytes: st.Skipped.SkippedBytes})
 }
 
-// merge folds another aggregate into s. Trace and latency attachments
-// are carried over when s has none of its own.
+// merge folds another run's counters into s.
 func (s *Stats) merge(o Stats) {
 	s.Matches += o.Matches
 	s.InputBytes += o.InputBytes
 	for g := range s.SkippedBytes {
 		s.SkippedBytes[g] += o.SkippedBytes[g]
-	}
-	if s.trace == nil {
-		s.trace = o.trace
-	}
-	if s.latency == nil {
-		s.latency = o.latency
-	} else if o.latency != nil {
-		s.latency.merge(*o.latency)
 	}
 }
 
@@ -149,7 +143,6 @@ func (s *Stats) merge(o Stats) {
 // paths containing the descendant operator.
 type runner interface {
 	Run(data []byte, emit core.EmitFunc) (core.Stats, error)
-	RunIndexed(ix *stream.Index, emit core.EmitFunc) (core.Stats, error)
 	RunIndexedWindow(ix *stream.Index, lo, hi int, emit core.EmitFunc) (core.Stats, error)
 	SetTrace(t *telemetry.Trace)
 }
@@ -160,6 +153,7 @@ type runner interface {
 type Query struct {
 	path *jsonpath.Path
 	pool sync.Pool
+	self [1]*Query // {q}: Run evaluates a Query as a one-member set
 }
 
 // Compile parses and compiles a JSONPath expression.
@@ -169,6 +163,7 @@ func Compile(expr string) (*Query, error) {
 		return nil, err
 	}
 	q := &Query{path: p}
+	q.self[0] = q
 	switch {
 	case p.SplitPoint() >= 0:
 		// Deferred selectors (unions, negative indexes/bounds, backward
@@ -211,169 +206,53 @@ func MustCompile(expr string) *Query {
 // String returns the source expression.
 func (q *Query) String() string { return q.path.String() }
 
-// Run streams a single JSON record (or buffer holding one record),
-// invoking fn for every match in document order. fn may be nil to only
-// count matches.
-func (q *Query) Run(data []byte, fn func(Match)) (Stats, error) {
-	return q.RunSink(data, fnSink(fn))
-}
-
-// RunSink streams a single JSON record into sink: Begin binds the
-// record, each match arrives as a Span, and Flush closes the run. sink
-// may be nil to only count matches. A sink error stops delivery but not
-// evaluation; it is returned unless the engine itself failed.
-func (q *Query) RunSink(data []byte, sink Sink) (Stats, error) {
-	e := q.pool.Get().(runner)
-	defer q.pool.Put(e)
-	sr := newSinkRun(sink)
-	st, err := e.Run(data, sr.bind(0, data))
-	var out Stats
-	out.add(st)
-	return out, sr.finish(err)
-}
-
-// RunIndexed is Run over a prebuilt structural index of the buffer: the
-// engine borrows ix's materialized word masks instead of classifying
-// words on the fly, which pays off whenever the same document is
-// streamed more than once. The index must stay alive (not finally
-// Released) for the duration of the call.
-func (q *Query) RunIndexed(ix *Index, fn func(Match)) (Stats, error) {
-	return q.RunIndexedSink(ix, fnSink(fn))
-}
-
-// RunIndexedSink is RunSink over a prebuilt structural index of the
-// buffer. The index must stay alive (not finally Released) for the
-// duration of the call.
-func (q *Query) RunIndexedSink(ix *Index, sink Sink) (Stats, error) {
-	e := q.pool.Get().(runner)
-	defer q.pool.Put(e)
-	sr := newSinkRun(sink)
-	st, err := e.RunIndexed(ix.ix, sr.bind(0, ix.Data()))
-	var out Stats
-	out.add(st)
-	return out, sr.finish(err)
-}
-
-// RunIndexedWindow evaluates the query over the [lo, hi) byte window of
-// an indexed buffer, treating the window as one complete JSON record.
-// The window borrows the whole-buffer masks — no per-record index build
-// or copy — which is how individual records of a serialized NDJSON
-// corpus (see LoadIndex, Catalog) are queried zero-copy: pass each
-// record's Span as the window. Match offsets are absolute positions in
-// the underlying buffer. The index must stay alive for the duration of
-// the call.
-func (q *Query) RunIndexedWindow(ix *Index, lo, hi int, fn func(Match)) (Stats, error) {
-	return q.RunIndexedWindowSink(ix, lo, hi, fnSink(fn))
-}
-
-// RunIndexedWindowSink is RunIndexedWindow delivering into a Sink.
-func (q *Query) RunIndexedWindowSink(ix *Index, lo, hi int, sink Sink) (Stats, error) {
-	e := q.pool.Get().(runner)
-	defer q.pool.Put(e)
-	sr := newSinkRun(sink)
-	st, err := e.RunIndexedWindow(ix.ix, lo, hi, sr.bind(0, ix.Data()))
-	var out Stats
-	out.add(st)
-	return out, sr.finish(err)
+// Run evaluates the query over in, delivering every match to sink:
+// Begin once per record, then the record's matches in document order,
+// then one Flush at the end of the run. sink may be nil to only count
+// matches. A sink error stops delivery but not the current record's
+// evaluation (its Stats stay exact); it is returned unless the engine
+// itself failed.
+//
+// On a record sequence an engine error is wrapped with the index of the
+// offending record, and the first engine error, sink error or read
+// error stops the run. ctx is checked between records; a cancelled run
+// returns ctx.Err().
+func (q *Query) Run(ctx context.Context, in Input, sink Sink, opts ...Option) (Stats, error) {
+	return run(ctx, q.self[:], in, sink, opts)
 }
 
 // Count returns the number of matches in data.
 func (q *Query) Count(data []byte) (int64, error) {
-	st, err := q.Run(data, nil)
+	st, err := q.Run(context.Background(), Bytes(data), nil)
 	return st.Matches, err
 }
 
-// RunRecords streams a sequence of independent JSON records sequentially
-// with a single engine, invoking fn for each match. Match.Record carries
-// the record index.
-func (q *Query) RunRecords(records [][]byte, fn func(Match)) (Stats, error) {
-	return q.RunRecordsSink(records, fnSink(fn))
-}
-
-// RunRecordsSink streams a sequence of independent JSON records
-// sequentially with a single engine into sink; Begin is called once per
-// record with the record index. A sink error aborts the remaining
-// records (the output destination is broken); an engine error is wrapped
-// with the index of the offending record.
-func (q *Query) RunRecordsSink(records [][]byte, sink Sink) (Stats, error) {
-	e := q.pool.Get().(runner)
-	defer q.pool.Put(e)
-	sr := newSinkRun(sink)
-	var out Stats
-	for i, rec := range records {
-		st, err := e.Run(rec, sr.bind(i, rec))
-		out.add(st)
-		if err != nil {
-			return out, sr.finish(wrapRecordErr(i, err))
-		}
-		if sr.err != nil {
-			return out, sr.finish(nil)
-		}
-	}
-	return out, sr.finish(nil)
-}
-
-// RunRecordsParallel processes independent records with `workers`
-// goroutines (the paper's small-record task parallelism, Figure 12).
-// fn, when non-nil, is called concurrently from multiple goroutines and
-// must be safe for that. Records are claimed dynamically, so skewed
-// record sizes still balance. The first error, if any, is returned after
-// all workers drain.
-func (q *Query) RunRecordsParallel(records [][]byte, workers int, fn func(Match)) (Stats, error) {
-	if workers <= 1 || len(records) <= 1 {
-		return q.RunRecords(records, fn)
-	}
-	var (
-		next    atomic.Int64
-		wg      sync.WaitGroup
-		accum   core.StatsAccum
-		errOnce sync.Once
-		outErr  error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			e := q.pool.Get().(runner)
-			defer q.pool.Put(e)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(records) {
-					break
-				}
-				rec := records[i]
-				var emit core.EmitFunc
-				if fn != nil {
-					emit = func(s, en int) {
-						fn(Match{Start: s, End: en, Value: rec[s:en], Record: i})
-					}
-				}
-				st, err := e.Run(rec, emit)
-				accum.Add(st)
-				if err != nil {
-					errOnce.Do(func() { outErr = wrapRecordErr(i, err) })
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	var out Stats
-	out.add(accum.Load())
-	return out, outErr
-}
-
-// wrapRecordErr tags an engine error with the index of the record that
-// produced it, so callers of the multi-record entry points can report
-// which line of an NDJSON input is malformed.
-func wrapRecordErr(record int, err error) error {
-	return fmt.Errorf("record %d: %w", record, err)
-}
-
-// All collects every match into a slice of copied values. Convenient for
-// small result sets; for large ones prefer RunSink with a StreamSink or
-// Run with a streaming fn.
+// All collects every match in data into a slice of copied values.
+// Convenient for small result sets; for large ones prefer Run with a
+// StreamSink or a FuncSink.
 func (q *Query) All(data []byte) ([][]byte, error) {
 	var sink BufferSink
-	_, err := q.RunSink(data, &sink)
+	_, err := q.Run(context.Background(), Bytes(data), &sink)
 	return sink.Values, err
+}
+
+// RunSink is Run over Bytes(data).
+//
+// Deprecated: use Run.
+func (q *Query) RunSink(data []byte, sink Sink) (Stats, error) {
+	return q.Run(context.Background(), Bytes(data), sink)
+}
+
+// RunIndexedSink is Run over Indexed(ix).
+//
+// Deprecated: use Run.
+func (q *Query) RunIndexedSink(ix *Index, sink Sink) (Stats, error) {
+	return q.Run(context.Background(), Indexed(ix), sink)
+}
+
+// RunRecordsSink is Run over Records(records).
+//
+// Deprecated: use Run.
+func (q *Query) RunRecordsSink(records [][]byte, sink Sink) (Stats, error) {
+	return q.Run(context.Background(), Records(records), sink)
 }

@@ -1,9 +1,9 @@
 package jsonski
 
 import (
+	"context"
 	"fmt"
 	"reflect"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -31,7 +31,7 @@ func TestRunBasic(t *testing.T) {
 	q := MustCompile("$.place.name")
 	data := []byte(`{"coordinates":[1,2],"user":{"id":6},"place":{"name":"Manhattan","bounding_box":{"pos":[[1,2]]}}}`)
 	var got []string
-	st, err := q.Run(data, func(m Match) { got = append(got, string(m.Value)) })
+	st, err := q.Run(context.Background(), Bytes(data), FuncSink(func(m Match) { got = append(got, string(m.Value)) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,14 +49,14 @@ func TestRunBasic(t *testing.T) {
 func TestMatchFields(t *testing.T) {
 	q := MustCompile("$.a")
 	data := []byte(`{"a": 42}`)
-	q.Run(data, func(m Match) {
+	q.Run(context.Background(), Bytes(data), FuncSink(func(m Match) {
 		if string(data[m.Start:m.End]) != string(m.Value) || string(m.Value) != "42" {
 			t.Fatalf("m = %+v", m)
 		}
 		if m.Record != 0 {
 			t.Fatalf("Record = %d", m.Record)
 		}
-	})
+	}))
 }
 
 func TestCountAndAll(t *testing.T) {
@@ -83,9 +83,9 @@ func TestRunRecords(t *testing.T) {
 		[]byte(`{"v": "c"}`),
 	}
 	var got []string
-	st, err := q.RunRecords(records, func(m Match) {
+	st, err := q.Run(context.Background(), Records(records), FuncSink(func(m Match) {
 		got = append(got, fmt.Sprintf("%d:%s", m.Record, m.Value))
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,23 +104,21 @@ func TestRunRecordsParallel(t *testing.T) {
 	for i := range records {
 		records[i] = []byte(fmt.Sprintf(`{"pad": [%d,%d], "v": %d}`, i, i, i))
 	}
-	var mu sync.Mutex
 	var got []int
-	st, err := q.RunRecordsParallel(records, 8, func(m Match) {
-		mu.Lock()
+	st, err := q.Run(context.Background(), Records(records), FuncSink(func(m Match) {
 		got = append(got, m.Record)
-		mu.Unlock()
-	})
+	}), Workers(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Matches != n {
-		t.Fatalf("Matches = %d", st.Matches)
+	if st.Matches != n || len(got) != n {
+		t.Fatalf("Matches = %d, delivered %d", st.Matches, len(got))
 	}
-	sort.Ints(got)
+	// Workers buffer their records' spans; the sink sees them in
+	// record order.
 	for i, r := range got {
 		if r != i {
-			t.Fatalf("record %d missing (got[%d]=%d)", i, i, r)
+			t.Fatalf("got[%d] = record %d", i, r)
 		}
 	}
 }
@@ -128,7 +126,7 @@ func TestRunRecordsParallel(t *testing.T) {
 func TestRunRecordsParallelFallsBackSerial(t *testing.T) {
 	q := MustCompile("$.v")
 	records := [][]byte{[]byte(`{"v":1}`)}
-	st, err := q.RunRecordsParallel(records, 16, nil)
+	st, err := q.Run(context.Background(), Records(records), nil, Workers(16))
 	if err != nil || st.Matches != 1 {
 		t.Fatalf("st=%+v err=%v", st, err)
 	}
@@ -140,10 +138,10 @@ func TestRunRecordsError(t *testing.T) {
 		[]byte(`{"a": {"b": 1}}`),
 		[]byte(`{"a": {`), // truncated
 	}
-	if _, err := q.RunRecords(records, nil); err == nil {
+	if _, err := q.Run(context.Background(), Records(records), nil); err == nil {
 		t.Fatal("expected error")
 	}
-	if _, err := q.RunRecordsParallel(append(records, records[0]), 4, nil); err == nil {
+	if _, err := q.Run(context.Background(), Records(append(records, records[0])), nil, Workers(4)); err == nil {
 		t.Fatal("expected error from parallel run")
 	}
 }
@@ -192,9 +190,9 @@ func TestStatsRatios(t *testing.T) {
 func ExampleQuery_Run() {
 	q := MustCompile("$.user.name")
 	data := []byte(`{"id": 1, "user": {"name": "ada", "karma": 9000}}`)
-	q.Run(data, func(m Match) {
+	q.Run(context.Background(), Bytes(data), FuncSink(func(m Match) {
 		fmt.Println(string(m.Value))
-	})
+	}))
 	// Output: "ada"
 }
 
@@ -202,7 +200,7 @@ func TestDescendantQueries(t *testing.T) {
 	q := MustCompile("$..name")
 	data := []byte(`{"a": {"name": "x"}, "name": "y", "list": [{"name": "z"}]}`)
 	var got []string
-	st, err := q.Run(data, func(m Match) { got = append(got, string(m.Value)) })
+	st, err := q.Run(context.Background(), Bytes(data), FuncSink(func(m Match) { got = append(got, string(m.Value)) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +213,7 @@ func TestDescendantQueries(t *testing.T) {
 		t.Fatalf("Count=%d err=%v", n, err)
 	}
 	recs := [][]byte{data, data}
-	stp, err := q.RunRecordsParallel(recs, 2, nil)
+	stp, err := q.Run(context.Background(), Records(recs), nil, Workers(2))
 	if err != nil || stp.Matches != 6 {
 		t.Fatalf("parallel st=%+v err=%v", stp, err)
 	}

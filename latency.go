@@ -7,7 +7,7 @@ import (
 )
 
 // LatencySnapshot is a per-record evaluation-latency distribution,
-// recorded by the streaming reader entry points and retrievable via
+// recorded by record-sequence runs and retrievable via
 // Stats.Latency. Buckets are log-2 in nanoseconds (bucket i covers
 // [2^(i-1), 2^i) ns), the scheme the daemon's /metrics/prom endpoint
 // exports, so quantiles derived here and by Prometheus agree.
@@ -39,20 +39,6 @@ func (ls *LatencySnapshot) hist() telemetry.HistSnapshot {
 	h.MaxNanos = ls.MaxNanos
 	copy(h.Buckets[:], ls.Buckets)
 	return h
-}
-
-// merge folds another snapshot into ls (used when partial Stats merge).
-func (ls *LatencySnapshot) merge(o LatencySnapshot) {
-	ls.Count += o.Count
-	ls.SumNanos += o.SumNanos
-	if o.MaxNanos > ls.MaxNanos {
-		ls.MaxNanos = o.MaxNanos
-	}
-	for i := range ls.Buckets {
-		if i < len(o.Buckets) {
-			ls.Buckets[i] += o.Buckets[i]
-		}
-	}
 }
 
 // Quantile estimates the q-th latency quantile (0 < q <= 1) from the

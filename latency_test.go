@@ -1,6 +1,7 @@
 package jsonski_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -9,17 +10,17 @@ import (
 
 const latencyNDJSON = "{\"v\": 1}\n{\"v\": 2}\n{\"v\": 3}\n{\"v\": 4}\n"
 
-// TestReaderLatencySnapshot checks that the streaming reader entry
-// points attach a per-record latency distribution with sane invariants.
+// TestReaderLatencySnapshot checks that Reader input attaches a
+// per-record latency distribution with sane invariants.
 func TestReaderLatencySnapshot(t *testing.T) {
 	q := jsonski.MustCompile("$.v")
-	st, err := q.RunReader(strings.NewReader(latencyNDJSON), nil)
+	st, err := q.Run(context.Background(), jsonski.Reader(strings.NewReader(latencyNDJSON)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lat := st.Latency()
 	if lat == nil {
-		t.Fatal("RunReader attached no latency snapshot")
+		t.Fatal("Reader input attached no latency snapshot")
 	}
 	if lat.Count != 4 {
 		t.Fatalf("count = %d, want 4", lat.Count)
@@ -36,16 +37,16 @@ func TestReaderLatencySnapshot(t *testing.T) {
 	}
 }
 
-// TestReaderParallelLatencyShared checks the parallel reader: workers
-// share one lock-free histogram, so the merged snapshot still counts
-// every record exactly once.
+// TestReaderParallelLatencyShared checks the parallel reader: each
+// record's latency is observed once, when it is delivered, so the
+// snapshot counts every record exactly once.
 func TestReaderParallelLatencyShared(t *testing.T) {
 	q := jsonski.MustCompile("$.v")
 	var in strings.Builder
 	for i := 0; i < 300; i++ {
 		in.WriteString("{\"pad\": [1, 2, 3], \"v\": 7}\n")
 	}
-	st, err := q.RunReaderParallel(strings.NewReader(in.String()), 4, nil)
+	st, err := q.Run(context.Background(), jsonski.Reader(strings.NewReader(in.String())), nil, jsonski.Workers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestQuerySetReaderLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := qs.RunReader(strings.NewReader("{\"v\": 1, \"w\": 2}\n{\"v\": 3}\n"), nil)
+	st, err := qs.Run(context.Background(), jsonski.Reader(strings.NewReader("{\"v\": 1, \"w\": 2}\n{\"v\": 3}\n")), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,15 +82,15 @@ func TestQuerySetReaderLatency(t *testing.T) {
 	}
 }
 
-// TestRunRecordsHasNoLatency pins that the paper-benchmark surfaces
-// stay untimed: only the streaming readers observe per-record latency.
+// TestRunRecordsHasNoLatency pins that the paper-benchmark inputs stay
+// untimed: only Reader input observes per-record latency.
 func TestRunRecordsHasNoLatency(t *testing.T) {
 	q := jsonski.MustCompile("$.v")
-	st, err := q.RunRecords([][]byte{[]byte(`{"v": 1}`)}, nil)
+	st, err := q.Run(context.Background(), jsonski.Records([][]byte{[]byte(`{"v": 1}`)}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Latency() != nil {
-		t.Fatal("RunRecords attached a latency snapshot")
+		t.Fatal("Records input attached a latency snapshot")
 	}
 }

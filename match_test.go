@@ -1,6 +1,9 @@
 package jsonski
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func matchOf(v string) Match { return Match{Value: []byte(v)} }
 
@@ -121,12 +124,12 @@ func TestMatchHelpersEndToEnd(t *testing.T) {
 	q := MustCompile("$.user.name")
 	data := []byte(`{"user": {"name": "ada", "id": 7}}`)
 	var name string
-	q.Run(data, func(m Match) {
+	q.Run(context.Background(), Bytes(data), FuncSink(func(m Match) {
 		if m.Kind() != KindString {
 			t.Errorf("kind = %v", m.Kind())
 		}
 		name = m.String()
-	})
+	}))
 	if name != "ada" {
 		t.Errorf("name = %q", name)
 	}

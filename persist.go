@@ -28,9 +28,9 @@ func ContentHash(data []byte) uint64 { return store.ContentHash(data) }
 
 // RecordSpans computes the record table of an NDJSON buffer: one
 // whitespace-trimmed Span per non-blank line, with the same record
-// boundaries the reader entry points use. Pass the result to SaveIndex
-// or Catalog.Put so each record of the serialized corpus can later be
-// queried zero-copy via Query.RunIndexedWindow.
+// boundaries Reader input uses. Pass the result to SaveIndex or
+// Catalog.Put so the records of the serialized corpus can later be
+// queried zero-copy through Windows input.
 func RecordSpans(data []byte) []Span {
 	var spans []Span
 	lineStart := 0

@@ -2,6 +2,7 @@ package jsonski
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -52,9 +53,9 @@ func TestSaveLoadIndexQueryEquivalence(t *testing.T) {
 			}
 			return got
 		}
-		direct := collect(func(fn func(Match)) (Stats, error) { return q.Run(data, fn) })
-		mem := collect(func(fn func(Match)) (Stats, error) { return q.RunIndexed(built, fn) })
-		mapped := collect(func(fn func(Match)) (Stats, error) { return q.RunIndexed(loaded, fn) })
+		direct := collect(func(fn func(Match)) (Stats, error) { return q.Run(context.Background(), Bytes(data), FuncSink(fn)) })
+		mem := collect(func(fn func(Match)) (Stats, error) { return q.Run(context.Background(), Indexed(built), FuncSink(fn)) })
+		mapped := collect(func(fn func(Match)) (Stats, error) { return q.Run(context.Background(), Indexed(loaded), FuncSink(fn)) })
 		if len(direct) == 0 {
 			t.Fatalf("%s: no matches", expr)
 		}
@@ -65,8 +66,8 @@ func TestSaveLoadIndexQueryEquivalence(t *testing.T) {
 }
 
 // TestRecordSpansAndWindow checks RecordSpans against the reader's
-// record semantics and queries individual records through
-// RunIndexedWindow on a loaded corpus index.
+// record semantics and queries individual records through one-span
+// Windows input on a loaded corpus index.
 func TestRecordSpansAndWindow(t *testing.T) {
 	corpus := []byte("{\"v\":1}\n\n  {\"v\":2}  \r\n{\"v\":3}")
 	spans := RecordSpans(corpus)
@@ -98,9 +99,9 @@ func TestRecordSpansAndWindow(t *testing.T) {
 	q := MustCompile("$.v")
 	for i, sp := range lspans {
 		var vals []string
-		st, err := q.RunIndexedWindow(loaded, int(sp.Start), int(sp.End), func(m Match) {
+		st, err := q.Run(context.Background(), Windows(loaded, []Span{{Start: int64(int(sp.Start)), End: int64(int(sp.End))}}), FuncSink(func(m Match) {
 			vals = append(vals, string(m.Value))
-		})
+		}))
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
@@ -137,7 +138,7 @@ func TestPublicCatalog(t *testing.T) {
 	}
 	q := MustCompile("$.expensive")
 	var got []byte
-	if _, err := q.RunIndexed(ix, func(m Match) { got = append([]byte(nil), m.Value...) }); err != nil {
+	if _, err := q.Run(context.Background(), Indexed(ix), FuncSink(func(m Match) { got = append([]byte(nil), m.Value...) })); err != nil {
 		t.Fatal(err)
 	}
 	ix.Release()

@@ -1,6 +1,7 @@
 package jsonski
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -34,9 +35,9 @@ func TestQuerySetSidecarRouting(t *testing.T) {
 	)
 	data := []byte(`{"items": [{"name": "a", "price": 5}, {"name": "b", "price": 20}]}`)
 	got := map[int][]string{}
-	_, err := qs.Run(data, func(m SetMatch) {
+	_, err := qs.Run(context.Background(), Bytes(data), FuncSink(func(m Match) {
 		got[m.Query] = append(got[m.Query], string(m.Value))
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +66,9 @@ func TestQuerySetBasic(t *testing.T) {
 	qs := MustCompileSet("$.user.name", "$.user.id", "$.tags[0]")
 	data := []byte(`{"user": {"name": "ada", "id": 7, "x": 1}, "tags": ["a", "b"], "pad": {"z": 0}}`)
 	got := map[int][]string{}
-	st, err := qs.Run(data, func(m SetMatch) {
+	st, err := qs.Run(context.Background(), Bytes(data), FuncSink(func(m Match) {
 		got[m.Query] = append(got[m.Query], string(m.Value))
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,17 +140,17 @@ func TestQuerySetMatchesIndividualRuns(t *testing.T) {
 		exprs := sets[trial%len(sets)]
 		qs := MustCompileSet(exprs...)
 		got := make([][]string, len(exprs))
-		if _, err := qs.Run(enc, func(m SetMatch) {
+		if _, err := qs.Run(context.Background(), Bytes(enc), FuncSink(func(m Match) {
 			got[m.Query] = append(got[m.Query], string(m.Value))
-		}); err != nil {
+		})); err != nil {
 			t.Fatalf("trial %d: %v\ndoc: %s", trial, err, enc)
 		}
 		for qi, expr := range exprs {
 			q := MustCompile(expr)
 			var want []string
-			if _, err := q.Run(enc, func(m Match) {
+			if _, err := q.Run(context.Background(), Bytes(enc), FuncSink(func(m Match) {
 				want = append(want, string(m.Value))
-			}); err != nil {
+			})); err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got[qi], want) {
@@ -227,7 +228,7 @@ func TestQuerySetFastForwardStillHigh(t *testing.T) {
 	}
 	sb.WriteString(`]}`)
 	data := []byte(sb.String())
-	st, err := qs.Run(data, nil)
+	st, err := qs.Run(context.Background(), Bytes(data), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,9 +248,9 @@ func TestQuerySetRunRecords(t *testing.T) {
 		[]byte(`{"a": 3}`),
 	}
 	var got []string
-	st, err := qs.RunRecords(records, func(m SetMatch) {
+	st, err := qs.Run(context.Background(), Records(records), FuncSink(func(m Match) {
 		got = append(got, fmt.Sprintf("%d/%d=%s", m.Record, m.Query, m.Value))
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func TestQuerySetRunRecords(t *testing.T) {
 func TestQuerySetRunRecordsErrorNamesRecord(t *testing.T) {
 	qs := MustCompileSet("$.a")
 	records := [][]byte{[]byte(`{"a": 1}`), []byte(`{"a": `)}
-	_, err := qs.RunRecords(records, nil)
+	_, err := qs.Run(context.Background(), Records(records), nil)
 	if err == nil || !strings.Contains(err.Error(), "record 1:") {
 		t.Fatalf("err = %v", err)
 	}
@@ -304,9 +305,9 @@ func TestQuerySetMemberCases(t *testing.T) {
 			qs := MustCompileSet(tc.exprs...)
 			data := []byte(tc.data)
 			got := map[int][]string{}
-			st, err := qs.Run(data, func(m SetMatch) {
+			st, err := qs.Run(context.Background(), Bytes(data), FuncSink(func(m Match) {
 				got[m.Query] = append(got[m.Query], string(m.Value))
-			})
+			}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -322,7 +323,7 @@ func TestQuerySetMemberCases(t *testing.T) {
 			}
 		})
 	}
-	st, err := MustCompileSet("$.a", "$.b.c").Run([]byte(`{"a": 1, "b": {"c": 2}, "z": {"deep": [1]}}`), nil)
+	st, err := MustCompileSet("$.a", "$.b.c").Run(context.Background(), Bytes([]byte(`{"a": 1, "b": {"c": 2}, "z": {"deep": [1]}}`)), nil)
 	if err != nil || st.FastForwardRatio() <= 0 {
 		t.Fatalf("expected the z subtree to be fast-forwarded: ratio %.3f err %v", st.FastForwardRatio(), err)
 	}
@@ -333,11 +334,11 @@ func TestQuerySetMemberCases(t *testing.T) {
 func TestQuerySetErrors(t *testing.T) {
 	qs := MustCompileSet("$.a.b", "$.c")
 	for _, in := range []string{`{"a": {"b": `, `{"a"`} {
-		if _, err := qs.Run([]byte(in), nil); err == nil {
+		if _, err := qs.Run(context.Background(), Bytes([]byte(in)), nil); err == nil {
 			t.Errorf("Run: expected error for %q", in)
 		}
-		if _, err := qs.RunSink([]byte(in), &CountSink{}); err == nil {
-			t.Errorf("RunSink: expected error for %q", in)
+		if _, err := qs.Run(context.Background(), Bytes([]byte(in)), &CountSink{}); err == nil {
+			t.Errorf("Run with a sink: expected error for %q", in)
 		}
 	}
 }
@@ -346,10 +347,10 @@ func TestQuerySetErrors(t *testing.T) {
 // an error, not an empty result.
 func TestQuerySetEmptyInput(t *testing.T) {
 	qs := MustCompileSet("$.a")
-	if _, err := qs.Run([]byte("   "), nil); err == nil {
+	if _, err := qs.Run(context.Background(), Bytes([]byte("   ")), nil); err == nil {
 		t.Error("Run: expected error")
 	}
-	if _, err := qs.RunSink([]byte("   "), &CountSink{}); err == nil {
+	if _, err := qs.Run(context.Background(), Bytes([]byte("   ")), &CountSink{}); err == nil {
 		t.Error("RunSink: expected error")
 	}
 }
@@ -359,7 +360,7 @@ func TestQuerySetEmptyInput(t *testing.T) {
 func TestQuerySetReuse(t *testing.T) {
 	qs := MustCompileSet("$.v")
 	for i := 0; i < 3; i++ {
-		st, err := qs.Run([]byte(`{"v": 1}`), nil)
+		st, err := qs.Run(context.Background(), Bytes([]byte(`{"v": 1}`)), nil)
 		if err != nil || st.Matches != 1 {
 			t.Fatalf("iter %d: st=%+v err=%v", i, st, err)
 		}
@@ -383,24 +384,24 @@ func TestQuerySetRandomDifferential(t *testing.T) {
 		exprs := sets[trial%len(sets)]
 		qs := MustCompileSet(exprs...)
 		got := make([][]string, len(exprs))
-		if _, err := qs.Run(enc, func(m SetMatch) {
+		if _, err := qs.Run(context.Background(), Bytes(enc), FuncSink(func(m Match) {
 			got[m.Query] = append(got[m.Query], string(m.Value))
-		}); err != nil {
+		})); err != nil {
 			t.Fatalf("trial %d: %v\ndoc: %s", trial, err, enc)
 		}
 		idx := BuildIndex(enc)
 		gotIdx := make([][]string, len(exprs))
-		if _, err := qs.RunIndexed(idx, func(m SetMatch) {
+		if _, err := qs.Run(context.Background(), Indexed(idx), FuncSink(func(m Match) {
 			gotIdx[m.Query] = append(gotIdx[m.Query], string(m.Value))
-		}); err != nil {
+		})); err != nil {
 			t.Fatalf("trial %d indexed: %v\ndoc: %s", trial, err, enc)
 		}
 		idx.Release()
 		for qi, expr := range exprs {
 			var want []string
-			if _, err := MustCompile(expr).Run(enc, func(m Match) {
+			if _, err := MustCompile(expr).Run(context.Background(), Bytes(enc), FuncSink(func(m Match) {
 				want = append(want, string(m.Value))
-			}); err != nil {
+			})); err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got[qi], want) {
@@ -420,13 +421,13 @@ func TestQuerySetRandomDifferential(t *testing.T) {
 func TestQuerySetG4PerMember(t *testing.T) {
 	exprs := []string{"$.a", "$.b", "$.c"}
 	data := []byte(`{"a": 1, "b": 2, "c": 3, "pad": [` + strings.Repeat(`{"x": [1, 2, 3]}, `, 200) + `0]}`)
-	st, err := MustCompileSet(exprs...).Run(data, nil)
+	st, err := MustCompileSet(exprs...).Run(context.Background(), Bytes(data), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var g4 int64
 	for _, e := range exprs {
-		solo, err := MustCompile(e).Run(data, nil)
+		solo, err := MustCompile(e).Run(context.Background(), Bytes(data), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -471,9 +472,9 @@ func TestQuerySetMemberStatsParity(t *testing.T) {
 				var wantSpans []string
 				for qi, e := range exprs {
 					q := MustCompile(e)
-					st, err := q.Run(data, func(m Match) {
+					st, err := q.Run(context.Background(), Bytes(data), FuncSink(func(m Match) {
 						wantSpans = append(wantSpans, fmt.Sprintf("%d:%d-%d", qi, m.Start, m.End))
-					})
+					}))
 					if err != nil {
 						t.Fatalf("%s: %v", e, err)
 					}
@@ -482,13 +483,13 @@ func TestQuerySetMemberStatsParity(t *testing.T) {
 				qs := MustCompileSet(exprs...)
 				for _, indexed := range []bool{false, true} {
 					var spans []string
-					fn := func(m SetMatch) { spans = append(spans, fmt.Sprintf("%d:%d-%d", m.Query, m.Start, m.End)) }
+					fn := func(m Match) { spans = append(spans, fmt.Sprintf("%d:%d-%d", m.Query, m.Start, m.End)) }
 					var got Stats
 					var err error
 					if indexed {
-						got, err = qs.RunIndexed(ix, fn)
+						got, err = qs.Run(context.Background(), Indexed(ix), FuncSink(fn))
 					} else {
-						got, err = qs.Run(data, fn)
+						got, err = qs.Run(context.Background(), Bytes(data), FuncSink(fn))
 					}
 					if err != nil {
 						t.Fatal(err)
@@ -534,7 +535,7 @@ func TestQuerySetIndexedAllocs(t *testing.T) {
 	defer ix.Release()
 	var sink CountSink
 	run := func() {
-		if _, err := qs.RunIndexedSink(ix, &sink); err != nil {
+		if _, err := qs.Run(context.Background(), Indexed(ix), &sink); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -26,9 +24,9 @@ func ndjsonInput(n int) string {
 func TestRunReader(t *testing.T) {
 	q := MustCompile("$.v")
 	var got []string
-	st, err := q.RunReader(strings.NewReader(ndjsonInput(50)), func(m Match) {
+	st, err := q.Run(context.Background(), Reader(strings.NewReader(ndjsonInput(50))), FuncSink(func(m Match) {
 		got = append(got, fmt.Sprintf("%d:%s", m.Record, m.Value))
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +41,7 @@ func TestRunReader(t *testing.T) {
 func TestRunReaderNoTrailingNewline(t *testing.T) {
 	q := MustCompile("$.v")
 	in := `{"v": 1}` + "\n" + `{"v": 2}` // no trailing \n
-	st, err := q.RunReader(strings.NewReader(in), nil)
+	st, err := q.Run(context.Background(), Reader(strings.NewReader(in)), nil)
 	if err != nil || st.Matches != 2 {
 		t.Fatalf("st=%+v err=%v", st, err)
 	}
@@ -53,7 +51,7 @@ func TestRunReaderLongLines(t *testing.T) {
 	q := MustCompile("$.v")
 	big := strings.Repeat("y", 200000)
 	in := fmt.Sprintf(`{"pad": "%s", "v": 9}%s{"v": 10}`, big, "\n")
-	st, err := q.RunReader(strings.NewReader(in), nil)
+	st, err := q.Run(context.Background(), Reader(strings.NewReader(in)), nil)
 	if err != nil || st.Matches != 2 {
 		t.Fatalf("st=%+v err=%v", st, err)
 	}
@@ -62,7 +60,7 @@ func TestRunReaderLongLines(t *testing.T) {
 func TestRunReaderMalformedRecord(t *testing.T) {
 	q := MustCompile("$.v.x")
 	in := `{"v": {"x": 1}}` + "\n" + `{"v": {` + "\n"
-	if _, err := q.RunReader(strings.NewReader(in), nil); err == nil {
+	if _, err := q.Run(context.Background(), Reader(strings.NewReader(in)), nil); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -70,30 +68,69 @@ func TestRunReaderMalformedRecord(t *testing.T) {
 func TestRunReaderParallel(t *testing.T) {
 	q := MustCompile("$.v")
 	const n = 300
-	var mu sync.Mutex
 	var recs []int
-	st, err := q.RunReaderParallel(strings.NewReader(ndjsonInput(n)), 8, func(m Match) {
-		mu.Lock()
+	st, err := q.Run(context.Background(), Reader(strings.NewReader(ndjsonInput(n))), FuncSink(func(m Match) {
 		recs = append(recs, m.Record)
-		mu.Unlock()
-	})
+	}), Workers(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Matches != n {
-		t.Fatalf("matches = %d", st.Matches)
+	if st.Matches != n || len(recs) != n {
+		t.Fatalf("matches = %d, delivered %d", st.Matches, len(recs))
 	}
-	sort.Ints(recs)
 	for i, r := range recs {
 		if r != i {
-			t.Fatalf("missing record %d", i)
+			t.Fatalf("recs[%d] = record %d, want record order", i, r)
+		}
+	}
+}
+
+// lineReader serves one NDJSON line per Read, so the lines it has
+// served count the records a run has read.
+type lineReader struct {
+	lines  [][]byte
+	served int
+}
+
+func (r *lineReader) Read(p []byte) (int, error) {
+	if r.served == len(r.lines) {
+		return 0, io.EOF
+	}
+	n := copy(p, r.lines[r.served])
+	r.served++
+	return n, nil
+}
+
+// TestRunReaderStopsAtFirstError pins that a malformed record stops
+// dispatch, serially and in parallel: after a bad record 0 the run reads
+// at most the in-flight window of the valid ones behind it, and the
+// error names record 0. The reader trickles one line per Read, so each
+// parallel batch is one record and the window is 2×workers records.
+func TestRunReaderStopsAtFirstError(t *testing.T) {
+	q := MustCompile("$.v.x")
+	for _, workers := range []int{1, 2, 4} {
+		lines := [][]byte{[]byte("{\"v\": {\n")}
+		for i := 0; i < 1000; i++ {
+			lines = append(lines, []byte(fmt.Sprintf("{\"v\": {\"x\": %d}}\n", i)))
+		}
+		r := &lineReader{lines: lines}
+		_, err := q.Run(context.Background(), Reader(r), nil, Workers(workers))
+		if err == nil || !strings.HasPrefix(err.Error(), "record 0: ") {
+			t.Fatalf("Workers(%d): err = %v, want record 0", workers, err)
+		}
+		window := 2 * workers
+		if workers == 1 {
+			window = 1 // the serial loop reads a record only after the last one
+		}
+		if r.served > window {
+			t.Fatalf("Workers(%d): read %d records after a bad record 0, want at most %d", workers, r.served, window)
 		}
 	}
 }
 
 func TestRunReaderParallelSerialFallback(t *testing.T) {
 	q := MustCompile("$.v")
-	st, err := q.RunReaderParallel(strings.NewReader(`{"v":1}`), 1, nil)
+	st, err := q.Run(context.Background(), Reader(strings.NewReader(`{"v":1}`)), nil, Workers(1))
 	if err != nil || st.Matches != 1 {
 		t.Fatalf("st=%+v err=%v", st, err)
 	}
@@ -103,11 +140,11 @@ func TestRunReaderContextCancelled(t *testing.T) {
 	q := MustCompile("$.v")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := q.RunReaderContext(ctx, strings.NewReader(ndjsonInput(10)), nil)
+	_, err := q.Run(ctx, Reader(strings.NewReader(ndjsonInput(10))), nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
-	_, err = q.RunReaderParallelContext(ctx, strings.NewReader(ndjsonInput(10)), 4, nil)
+	_, err = q.Run(ctx, Reader(strings.NewReader(ndjsonInput(10))), nil, Workers(4))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("parallel err = %v", err)
 	}
@@ -117,12 +154,12 @@ func TestRunReaderContextCancelMidStream(t *testing.T) {
 	q := MustCompile("$.v")
 	ctx, cancel := context.WithCancel(context.Background())
 	n := 0
-	st, err := q.RunReaderContext(ctx, strings.NewReader(ndjsonInput(100)), func(m Match) {
+	st, err := q.Run(ctx, Reader(strings.NewReader(ndjsonInput(100))), FuncSink(func(m Match) {
 		n++
 		if n == 3 {
 			cancel()
 		}
-	})
+	}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
@@ -134,7 +171,7 @@ func TestRunReaderContextCancelMidStream(t *testing.T) {
 func TestRunReaderErrorNamesRecord(t *testing.T) {
 	q := MustCompile("$.v.x")
 	in := `{"v": {"x": 1}}` + "\n" + `{"v": {` + "\n"
-	_, err := q.RunReader(strings.NewReader(in), nil)
+	_, err := q.Run(context.Background(), Reader(strings.NewReader(in)), nil)
 	if err == nil || !strings.Contains(err.Error(), "record 1:") {
 		t.Fatalf("err = %v", err)
 	}
@@ -152,11 +189,11 @@ func (f *failingReader) Read(p []byte) (int, error) {
 
 func TestRunReaderPropagatesReadError(t *testing.T) {
 	q := MustCompile("$.v")
-	_, err := q.RunReader(&failingReader{strings.NewReader("{\"v\":1}\n")}, nil)
+	_, err := q.Run(context.Background(), Reader(&failingReader{strings.NewReader("{\"v\":1}\n")}), nil)
 	if err == nil || !strings.Contains(err.Error(), "socket reset") {
 		t.Fatalf("err = %v", err)
 	}
-	_, err = q.RunReaderParallel(&failingReader{strings.NewReader("{\"v\":1}\n")}, 4, nil)
+	_, err = q.Run(context.Background(), Reader(&failingReader{strings.NewReader("{\"v\":1}\n")}), nil, Workers(4))
 	if err == nil {
 		t.Fatal("parallel read error not propagated")
 	}

@@ -6,12 +6,11 @@ import (
 	"jsonski/internal/core"
 )
 
-// Sink consumes the spans a run selects. It replaces ad-hoc callback
-// buffering as the output path of every entry point: Run* routes
-// matches through a sink, and the four implementations below cover the
-// common shapes — buffered collection (BufferSink), zero-copy streaming
-// to a writer (StreamSink), counting (CountSink), and fan-out for
-// crosschecks (Tee).
+// Sink consumes the spans a run selects. It is the output path of Run
+// for every input and worker count, and the implementations below cover
+// the common shapes — callbacks (FuncSink), buffered collection
+// (BufferSink), zero-copy streaming to a writer (StreamSink), counting
+// (CountSink), and fan-out for crosschecks (Tee).
 //
 // Begin is called once per record before any of its spans, binding the
 // record's buffer; Span receives each match as a half-open byte range
@@ -114,9 +113,9 @@ func (s *StreamSink) Flush() error {
 }
 
 // CountSink counts spans and discards them — the output mode of
-// -count/-stats style runs. (The Run entry points with a nil callback
-// or nil sink count without any sink dispatch at all; CountSink exists
-// for composition, e.g. inside a Tee.)
+// -count/-stats style runs. (Run with a nil sink counts without any
+// sink dispatch at all; CountSink exists for composition, e.g. inside a
+// Tee.)
 type CountSink struct {
 	// Spans is the number of spans delivered.
 	Spans int64
@@ -165,57 +164,72 @@ func (t teeSink) Flush() error {
 	return first
 }
 
-// callbackSink adapts the func(Match) callback entry points onto the
-// sink path, so every Run* flows through one output mechanism.
-type callbackSink struct {
-	fn     func(Match)
-	data   []byte
-	record int
-}
-
-func (c *callbackSink) Begin(record int, data []byte) { c.record, c.data = record, data }
-
-func (c *callbackSink) Span(start, end int) error {
-	c.fn(Match{Start: start, End: end, Value: c.data[start:end], Record: c.record})
-	return nil
-}
-
-func (c *callbackSink) Flush() error { return nil }
-
-// fnSink wraps a callback as a sink; a nil callback becomes a nil sink
-// (count-only: the engine skips emit dispatch entirely).
-func fnSink(fn func(Match)) Sink {
+// FuncSink adapts a callback to a Sink: fn receives every match as a
+// Match, with Record set to the record index and, in a QuerySet run,
+// Query set to the matching member's position in the set. Match.Value
+// aliases the record buffer, which for Reader input is valid only
+// during the call. A nil fn gives a nil Sink, which only counts.
+func FuncSink(fn func(Match)) Sink {
 	if fn == nil {
 		return nil
 	}
-	return &callbackSink{fn: fn}
+	return &funcSink{fn: fn}
 }
+
+type funcSink struct {
+	fn            func(Match)
+	data          []byte
+	record, query int
+}
+
+func (f *funcSink) Begin(record int, data []byte) { f.record, f.query, f.data = record, 0, data }
+
+func (f *funcSink) Span(start, end int) error {
+	f.fn(Match{Start: start, End: end, Value: f.data[start:end], Record: f.record, Query: f.query})
+	return nil
+}
+
+func (f *funcSink) Flush() error { return nil }
+
+func (f *funcSink) setQuery(i int) { f.query = i }
 
 // sinkRun latches a sink onto an engine run: it adapts Sink.Span to the
 // engine's span callback, records the sink's first error without
 // aborting the engine mid-record, and settles Flush/error precedence at
-// the end.
+// the end. A nil *sinkRun stands for a nil sink: it only counts, and the
+// engine skips emit dispatch entirely.
 type sinkRun struct {
 	sink Sink
+	tag  interface{ setQuery(int) } // sink, when it tags matches with the member (FuncSink)
 	err  error
 	emit core.EmitFunc
 }
 
 func newSinkRun(sink Sink) *sinkRun {
-	sr := &sinkRun{sink: sink}
-	if sink != nil {
-		sr.emit = sr.deliver
+	if sink == nil {
+		return nil
 	}
+	sr := &sinkRun{sink: sink}
+	sr.tag, _ = sink.(interface{ setQuery(int) })
+	sr.emit = sr.deliver
 	return sr
 }
 
-// bind starts the next record, returning the engine emit callback (nil
-// for a nil sink, keeping the engine's no-output fast path).
-func (sr *sinkRun) bind(record int, data []byte) core.EmitFunc {
-	if sr.sink == nil {
+// begin starts record `record`, whose bytes are data.
+func (sr *sinkRun) begin(record int, data []byte) {
+	if sr != nil {
+		sr.sink.Begin(record, data)
+	}
+}
+
+// member announces set member i and returns the engine emit callback.
+func (sr *sinkRun) member(i int) core.EmitFunc {
+	if sr == nil {
 		return nil
 	}
-	sr.sink.Begin(record, data)
+	if sr.tag != nil {
+		sr.tag.setQuery(i)
+	}
 	return sr.emit
 }
 
@@ -228,18 +242,22 @@ func (sr *sinkRun) deliver(start, end int) {
 	}
 }
 
+// failed reports whether the sink has returned an error.
+func (sr *sinkRun) failed() bool { return sr != nil && sr.err != nil }
+
 // finish flushes the sink and merges errors: the engine's error wins
 // (it describes the input), then the sink's first write error, then
 // Flush's.
 func (sr *sinkRun) finish(engineErr error) error {
+	if sr == nil {
+		return engineErr
+	}
 	err := engineErr
 	if err == nil {
 		err = sr.err
 	}
-	if sr.sink != nil {
-		if ferr := sr.sink.Flush(); err == nil {
-			err = ferr
-		}
+	if ferr := sr.sink.Flush(); err == nil {
+		err = ferr
 	}
 	return err
 }

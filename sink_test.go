@@ -3,6 +3,7 @@ package jsonski_test
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -21,7 +22,7 @@ func TestSinkModesAgree(t *testing.T) {
 	data := []byte(sinkDoc)
 
 	var buffered jsonski.BufferSink
-	if _, err := q.RunSink(data, &buffered); err != nil {
+	if _, err := q.Run(context.Background(), jsonski.Bytes(data), &buffered); err != nil {
 		t.Fatal(err)
 	}
 	want := [][]byte{[]byte(`"a"`), []byte(`"b"`), []byte(`"c"`)}
@@ -36,7 +37,7 @@ func TestSinkModesAgree(t *testing.T) {
 
 	var streamed bytes.Buffer
 	stream := jsonski.NewStreamSink(&streamed)
-	if _, err := q.RunSink(data, stream); err != nil {
+	if _, err := q.Run(context.Background(), jsonski.Bytes(data), stream); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := streamed.String(), "\"a\"\n\"b\"\n\"c\"\n"; got != want {
@@ -49,7 +50,7 @@ func TestSinkModesAgree(t *testing.T) {
 	var count jsonski.CountSink
 	var tb jsonski.BufferSink
 	var ts bytes.Buffer
-	st, err := q.RunSink(data, jsonski.Tee(&tb, jsonski.NewStreamSink(&ts), &count))
+	st, err := q.Run(context.Background(), jsonski.Bytes(data), jsonski.Tee(&tb, jsonski.NewStreamSink(&ts), &count))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,10 +76,10 @@ func TestStreamSinkFraming(t *testing.T) {
 		Prefix: []byte(`{"value":`),
 		Suffix: []byte("}\n"),
 	}
-	if _, err := q.RunSink([]byte(sinkDoc), sink); err != nil {
+	if _, err := q.Run(context.Background(), jsonski.Bytes([]byte(sinkDoc)), sink); err != nil {
 		t.Fatal(err)
 	}
-	// RunSink's end-of-run Flush must have drained the bufio.Writer.
+	// Run's end-of-run Flush must have drained the bufio.Writer.
 	want := `{"value":1}` + "\n" + `{"value":2}` + "\n" + `{"value":3}` + "\n"
 	if out.String() != want {
 		t.Fatalf("got %q, want %q", out.String(), want)
@@ -101,13 +102,13 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 }
 
 // TestStreamSinkWriteError checks the error contract: a failing writer
-// surfaces its error from RunSink, the engine still finishes the record
+// surfaces its error from Run, the engine still finishes the record
 // (Stats stay exact), and delivery stops after the first failure.
 func TestStreamSinkWriteError(t *testing.T) {
 	q := jsonski.MustCompile("$.items[*].name")
 	w := &failAfterWriter{n: 2} // value+newline of match 1, then fail
 	sink := jsonski.NewStreamSink(w)
-	st, err := q.RunSink([]byte(sinkDoc), sink)
+	st, err := q.Run(context.Background(), jsonski.Bytes([]byte(sinkDoc)), sink)
 	if err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Fatalf("err = %v, want disk full", err)
 	}
@@ -126,7 +127,7 @@ func TestEngineErrorWinsOverSinkError(t *testing.T) {
 	q := jsonski.MustCompile("$.items[*].name")
 	malformed := []byte(`{"items": [{"name": "a"}, {"name": `)
 	sink := jsonski.NewStreamSink(&failAfterWriter{n: 0})
-	_, err := q.RunSink(malformed, sink)
+	_, err := q.Run(context.Background(), jsonski.Bytes(malformed), sink)
 	if err == nil || strings.Contains(err.Error(), "disk full") {
 		t.Fatalf("engine error should win, got %v", err)
 	}
@@ -142,7 +143,7 @@ func TestRunRecordsSink(t *testing.T) {
 		[]byte(`{"n": 3}`),
 	}
 	var out bytes.Buffer
-	st, err := q.RunRecordsSink(records, jsonski.NewStreamSink(&out))
+	st, err := q.Run(context.Background(), jsonski.Records(records), jsonski.NewStreamSink(&out))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestRunRecordsSink(t *testing.T) {
 	}
 
 	sink := jsonski.NewStreamSink(&failAfterWriter{n: 2})
-	st, err = q.RunRecordsSink(records, sink)
+	st, err = q.Run(context.Background(), jsonski.Records(records), sink)
 	if err == nil {
 		t.Fatal("want sink error")
 	}
@@ -171,7 +172,7 @@ func TestRunReaderSink(t *testing.T) {
 		fmt.Fprintf(&in, `{"i": %d, "v": "s%d"}`+"\n", i, i)
 	}
 	var out bytes.Buffer
-	st, err := q.RunReaderSink(t.Context(), &in, jsonski.NewStreamSink(&out))
+	st, err := q.Run(t.Context(), jsonski.Reader(&in), jsonski.NewStreamSink(&out))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,14 +192,14 @@ func TestQuerySetRunSink(t *testing.T) {
 	data := []byte(sinkDoc)
 
 	var want []string
-	if _, err := qs.Run(data, func(m jsonski.SetMatch) {
+	if _, err := qs.Run(context.Background(), jsonski.Bytes(data), jsonski.FuncSink(func(m jsonski.Match) {
 		want = append(want, string(m.Value))
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 
 	var sink jsonski.BufferSink
-	st, err := qs.RunSink(data, &sink)
+	st, err := qs.Run(context.Background(), jsonski.Bytes(data), &sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestQuerySetRunSink(t *testing.T) {
 	ix := jsonski.BuildIndex(data)
 	defer ix.Release()
 	var indexed jsonski.BufferSink
-	if _, err := qs.RunIndexedSink(ix, &indexed); err != nil {
+	if _, err := qs.Run(context.Background(), jsonski.Indexed(ix), &indexed); err != nil {
 		t.Fatal(err)
 	}
 	if len(indexed.Values) != len(want) {
@@ -222,18 +223,18 @@ func TestQuerySetRunSink(t *testing.T) {
 	}
 }
 
-// TestRunIndexedSinkMatchesRunSink: the indexed entry point must render
-// identically to the plain one.
+// TestRunIndexedSinkMatchesRunSink: Indexed input must render
+// identically to Bytes input.
 func TestRunIndexedSinkMatchesRunSink(t *testing.T) {
 	q := jsonski.MustCompile("$.items[*]")
 	data := []byte(sinkDoc)
 	var plain, viaIndex bytes.Buffer
-	if _, err := q.RunSink(data, jsonski.NewStreamSink(&plain)); err != nil {
+	if _, err := q.Run(context.Background(), jsonski.Bytes(data), jsonski.NewStreamSink(&plain)); err != nil {
 		t.Fatal(err)
 	}
 	ix := jsonski.BuildIndex(data)
 	defer ix.Release()
-	if _, err := q.RunIndexedSink(ix, jsonski.NewStreamSink(&viaIndex)); err != nil {
+	if _, err := q.Run(context.Background(), jsonski.Indexed(ix), jsonski.NewStreamSink(&viaIndex)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(plain.Bytes(), viaIndex.Bytes()) {
@@ -245,14 +246,14 @@ func TestRunIndexedSinkMatchesRunSink(t *testing.T) {
 func TestBufferSinkReset(t *testing.T) {
 	q := jsonski.MustCompile("$.items[*].n")
 	var sink jsonski.BufferSink
-	if _, err := q.RunSink([]byte(sinkDoc), &sink); err != nil {
+	if _, err := q.Run(context.Background(), jsonski.Bytes([]byte(sinkDoc)), &sink); err != nil {
 		t.Fatal(err)
 	}
 	sink.Reset()
 	if len(sink.Values) != 0 {
 		t.Fatalf("after Reset: %q", sink.Values)
 	}
-	if _, err := q.RunSink([]byte(sinkDoc), &sink); err != nil {
+	if _, err := q.Run(context.Background(), jsonski.Bytes([]byte(sinkDoc)), &sink); err != nil {
 		t.Fatal(err)
 	}
 	if len(sink.Values) != 3 {

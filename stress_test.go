@@ -1,6 +1,7 @@
 package jsonski_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -87,7 +88,7 @@ func TestStressSharedCaches(t *testing.T) {
 						return
 					}
 					n := int64(0)
-					if _, err := q.RunIndexed(ix, func(jsonski.Match) { n++ }); err != nil {
+					if _, err := q.Run(context.Background(), jsonski.Indexed(ix), jsonski.FuncSink(func(jsonski.Match) { n++ })); err != nil {
 						errc <- err
 						return
 					}
@@ -103,7 +104,7 @@ func TestStressSharedCaches(t *testing.T) {
 						return
 					}
 					per := make([]int64, len(exprs))
-					if _, err := qs.RunIndexed(ix, func(m jsonski.SetMatch) { per[m.Query]++ }); err != nil {
+					if _, err := qs.Run(context.Background(), jsonski.Indexed(ix), jsonski.FuncSink(func(m jsonski.Match) { per[m.Query]++ })); err != nil {
 						errc <- err
 						return
 					}

@@ -432,7 +432,8 @@ func collectEvents(pass *analysis.Pass, body *ast.BlockStmt, isRoot func(ast.Exp
 
 // matchParams returns the objects of parameters whose type is a Match
 // shape: a named struct (or one embedding it) with a Value []byte
-// field. These are the engine callbacks — func(Match), func(SetMatch).
+// field. These are the match callbacks, such as the func(Match) a
+// FuncSink wraps.
 func matchParams(pass *analysis.Pass, ft *ast.FuncType) []types.Object {
 	if ft.Params == nil {
 		return nil
