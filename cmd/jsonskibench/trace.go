@@ -9,6 +9,7 @@ import (
 	"runtime"
 
 	"jsonski"
+	"jsonski/internal/fastforward"
 	"jsonski/internal/queries"
 	"jsonski/internal/telemetry"
 )
@@ -35,10 +36,10 @@ type traceRow struct {
 // over the corpus: every input byte lands either in a Table 1 charge
 // group or in the scanned total.
 type traceAccounting struct {
-	InputBytes   int64    `json:"input_bytes"`
-	ScannedBytes int64    `json:"scanned_bytes"`
-	FFBytes      [5]int64 `json:"ff_bytes"` // per group G1..G5
-	SkipRatio    float64  `json:"skip_ratio"`
+	InputBytes   int64                        `json:"input_bytes"`
+	ScannedBytes int64                        `json:"scanned_bytes"`
+	FFBytes      [fastforward.NumGroups]int64 `json:"ff_bytes"` // per group G1..G5
+	SkipRatio    float64                      `json:"skip_ratio"`
 }
 
 type traceSummary struct {

@@ -326,9 +326,8 @@ func (n *Navigator) Field(v NavValue, name string, expected jsonpath.ValueType) 
 			return NavValue{}, false, nil
 		}
 		if string(r.Name) == name {
-			child := NavValue{Pos: n.s.Pos(), VType: r.VType, depth: v.depth + 1, gen: n.gen}
-			fr.pending, fr.pendingVT = child.Pos, r.VType
-			return child, true, nil
+			child, err := n.handOut(fr, r.VType, 0)
+			return child, err == nil, err
 		}
 		if err := n.skipValue(r.VType, fastforward.G2, false); err != nil {
 			return NavValue{}, false, err
@@ -385,9 +384,22 @@ func (n *Navigator) Elem(v NavValue, i int) (NavValue, bool, error) {
 		n.frames = n.frames[:len(n.frames)-1]
 		return NavValue{}, false, nil
 	}
-	child := NavValue{Pos: n.s.Pos(), VType: r.VType, depth: v.depth + 1, gen: n.gen}
-	fr.pending, fr.pendingVT, fr.elemIdx = child.Pos, r.VType, r.Index
-	return child, true, nil
+	child, err := n.handOut(fr, r.VType, r.Index)
+	return child, err == nil, err
+}
+
+// handOut hands out the child under the cursor as the newest child of
+// fr, the innermost open frame. Each child must start strictly after
+// the one before: on malformed input a scan can land where the last
+// child started (a stray '}' reads as a primitive ending at itself), and
+// failing then keeps every iteration finite, like driveArray's guard.
+func (n *Navigator) handOut(fr *navFrame, vt jsonpath.ValueType, idx int) (NavValue, error) {
+	pos := n.s.Pos()
+	if pos <= fr.pending {
+		return NavValue{}, fmt.Errorf("core: no progress in %s at %d", fr.kind, pos)
+	}
+	fr.pending, fr.pendingVT, fr.elemIdx = pos, vt, idx
+	return NavValue{Pos: pos, VType: vt, depth: len(n.frames), gen: n.gen}, nil
 }
 
 // Fields iterates v's remaining attributes in document order. Children
@@ -411,8 +423,10 @@ func (n *Navigator) Fields(v NavValue, fn func(name []byte, child NavValue) (boo
 			n.frames = n.frames[:len(n.frames)-1]
 			return nil
 		}
-		child := NavValue{Pos: n.s.Pos(), VType: r.VType, depth: v.depth + 1, gen: n.gen}
-		fr.pending, fr.pendingVT = child.Pos, r.VType
+		child, err := n.handOut(fr, r.VType, 0)
+		if err != nil {
+			return err
+		}
 		cont, err := fn(r.Name, child)
 		if err != nil || !cont {
 			return err
@@ -444,8 +458,10 @@ func (n *Navigator) Elems(v NavValue, fn func(idx int, child NavValue) (bool, er
 			n.frames = n.frames[:len(n.frames)-1]
 			return nil
 		}
-		child := NavValue{Pos: n.s.Pos(), VType: r.VType, depth: v.depth + 1, gen: n.gen}
-		fr.pending, fr.pendingVT, fr.elemIdx = child.Pos, r.VType, r.Index
+		child, err := n.handOut(fr, r.VType, r.Index)
+		if err != nil {
+			return err
+		}
 		cont, err := fn(r.Index, child)
 		if err != nil || !cont {
 			return err

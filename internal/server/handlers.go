@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"jsonski"
@@ -383,7 +382,7 @@ type hideFlush struct{ io.Writer }
 // countingWriter tallies bytes that actually reach the response.
 type countingWriter struct {
 	w io.Writer
-	n *atomic.Int64
+	n *telemetry.Counter
 	// sent is the bytes forwarded on this response; once nonzero the
 	// status line is committed and errors must become NDJSON lines.
 	sent int64

@@ -103,14 +103,13 @@ func (s *Server) handleIndexList(w http.ResponseWriter, r *http.Request) {
 	if !s.requireCatalog(w) {
 		return
 	}
-	st := s.catalog.Stats()
 	out := struct {
 		Dir     string                 `json:"dir"`
-		Stats   catalogJSON            `json:"stats"`
+		Stats   json.Marshaler         `json:"stats"`
 		Entries []jsonski.CatalogEntry `json:"entries"`
 	}{
 		Dir:     s.catalog.Dir(),
-		Stats:   catalogFrom(st, true),
+		Stats:   s.snapshot().Object("catalog"),
 		Entries: s.catalog.Entries(),
 	}
 	if out.Entries == nil {

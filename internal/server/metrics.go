@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"jsonski"
@@ -12,43 +11,31 @@ import (
 	"jsonski/internal/telemetry"
 )
 
-// metrics holds the server's live counters, expvar-style: individually
-// atomic monotonic counters (plus one in-flight gauge) and lock-free
-// latency histograms, readable at any time without locks. Engine
-// counters are fed from jsonski.Stats as each record finishes, so
-// /metrics reflects requests still in progress.
+// metrics holds the server's live counters and latency histograms,
+// readable at any time without locks. Engine counters are fed from
+// jsonski.Stats as each record finishes, so /metrics reflects requests
+// still in progress. Each is exported through its declaration in
+// declareMetrics and read only by snapshot: a telemetry.Counter has no
+// exported read.
 type metrics struct {
-	queryRequests  atomic.Int64
-	multiRequests  atomic.Int64
-	requestErrors  atomic.Int64
-	inFlight       atomic.Int64
-	bytesIn        atomic.Int64
-	bytesOut       atomic.Int64
-	records        atomic.Int64
-	matches        atomic.Int64
-	engineInBytes  atomic.Int64
-	scannedBytes   atomic.Int64
-	skipped        [fastforward.NumGroups]atomic.Int64
-	recordErrors   atomic.Int64
-	cancelledReads atomic.Int64
-	docRequests    atomic.Int64
+	queryRequests, multiRequests, docRequests, requestErrors, inFlight telemetry.Counter
+	bytesIn, bytesOut, cancelledReads                                  telemetry.Counter
+	records, recordErrors, matches, engineInBytes, scannedBytes        telemetry.Counter
+	skipped                                                            [fastforward.NumGroups]telemetry.Counter
 
 	// queryLatency, multiLatency, and docLatency time whole requests per
 	// endpoint (observed in ServeHTTP); recordLatency times individual
 	// record evaluations across the endpoints (observed in the eval
 	// closures and the /doc lookup).
-	queryLatency  telemetry.Histogram
-	multiLatency  telemetry.Histogram
-	recordLatency telemetry.Histogram
-	docLatency    telemetry.Histogram
+	queryLatency, multiLatency, recordLatency, docLatency telemetry.Histogram
 }
 
 // addStats folds one record evaluation into the engine counters. Write
 // order matters for snapshot consistency: input and scanned bytes are
 // published before the skipped-byte groups, so a snapshot that reads
-// the groups first (see snapshot) can pair each group with denominator
-// totals at least as new — derived skip ratios can undershoot briefly
-// but never exceed reality.
+// the groups first (they are declared First) pairs each group with
+// denominator totals at least as new — derived skip ratios can
+// undershoot briefly but never exceed reality.
 func (m *metrics) addStats(st jsonski.Stats) {
 	m.records.Add(1)
 	m.matches.Add(st.Matches)
@@ -61,281 +48,205 @@ func (m *metrics) addStats(st jsonski.Stats) {
 	}
 }
 
-// latencyJSON is one histogram rendered for the JSON snapshot.
-type latencyJSON struct {
-	Count  int64 `json:"count"`
-	SumNs  int64 `json:"sum_ns"`
-	MaxNs  int64 `json:"max_ns"`
-	MeanNs int64 `json:"mean_ns"`
-	P50Ns  int64 `json:"p50_ns"`
-	P90Ns  int64 `json:"p90_ns"`
-	P99Ns  int64 `json:"p99_ns"`
+func label(name, value string) []telemetry.Label {
+	return []telemetry.Label{{Name: name, Value: value}}
 }
 
-func latencyFrom(s telemetry.HistSnapshot) latencyJSON {
-	return latencyJSON{
-		Count:  s.Count,
-		SumNs:  s.SumNanos,
-		MaxNs:  s.MaxNanos,
-		MeanNs: int64(s.Mean()),
-		P50Ns:  int64(s.Quantile(0.50)),
-		P90Ns:  int64(s.Quantile(0.90)),
-		P99Ns:  int64(s.Quantile(0.99)),
+// when returns the family name while the feature it reports on is
+// enabled, and "" (JSON only) otherwise.
+func when(enabled bool, name string) string {
+	if enabled {
+		return name
 	}
+	return ""
 }
 
-// metricsSnapshot is the JSON document served at GET /metrics. New
-// sections are appended at the end so the established field order stays
-// byte-compatible for existing consumers.
-type metricsSnapshot struct {
-	Requests struct {
-		Query    int64 `json:"query"`
-		Multi    int64 `json:"multi"`
-		Errors   int64 `json:"errors"`
-		InFlight int64 `json:"in_flight"`
-		// Doc sits last so the established field order stays
-		// byte-compatible for existing consumers.
-		Doc int64 `json:"doc"`
-	} `json:"requests"`
-	IO struct {
-		BytesIn  int64 `json:"bytes_in"`
-		BytesOut int64 `json:"bytes_out"`
-		// CancelledReads sits last so the established field order stays
-		// byte-compatible for existing consumers.
-		CancelledReads int64 `json:"cancelled_reads"`
-	} `json:"io"`
-	Engine struct {
-		Records          int64     `json:"records"`
-		RecordErrors     int64     `json:"record_errors"`
-		Matches          int64     `json:"matches"`
-		InputBytes       int64     `json:"input_bytes"`
-		SkippedBytes     [5]int64  `json:"skipped_bytes"`
-		FastForwardRatio float64   `json:"fast_forward_ratio"`
-		GroupRatios      []float64 `json:"group_ratios"`
-		// ScannedBytes and SkipRatio sit last in this section per the
-		// append-only field-order rule. ScannedBytes is the complement of
-		// the skipped groups (bytes the engines actually examined);
-		// SkipRatio = skipped / (skipped + scanned), the paper's Table 6
-		// accounting over the two directly-published counters.
-		ScannedBytes int64   `json:"scanned_bytes"`
-		SkipRatio    float64 `json:"skip_ratio"`
-	} `json:"engine"`
-	Cache struct {
-		Hits      int64   `json:"hits"`
-		Misses    int64   `json:"misses"`
-		Evictions int64   `json:"evictions"`
-		Size      int     `json:"size"`
-		Cap       int     `json:"cap"`
-		HitRate   float64 `json:"hit_rate"`
-	} `json:"cache"`
-	IndexCache struct {
-		Enabled      bool    `json:"enabled"`
-		Hits         int64   `json:"hits"`
-		Misses       int64   `json:"misses"`
-		Evictions    int64   `json:"evictions"`
-		Entries      int     `json:"entries"`
-		Bytes        int64   `json:"bytes"`
-		CapBytes     int64   `json:"cap_bytes"`
-		BytesIndexed int64   `json:"bytes_indexed"`
-		HitRate      float64 `json:"hit_rate"`
-	} `json:"index_cache"`
-	Workers struct {
-		Count         int `json:"count"`
-		QueueDepth    int `json:"queue_depth"`
-		QueueCapacity int `json:"queue_capacity"`
-	} `json:"workers"`
-	Latency struct {
-		Query  latencyJSON `json:"query"`
-		Multi  latencyJSON `json:"multi"`
-		Record latencyJSON `json:"record"`
-		// Doc sits last per the append-only field-order rule.
-		Doc latencyJSON `json:"doc"`
-	} `json:"latency"`
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	Build         struct {
-		GoVersion string `json:"go_version"`
-		Revision  string `json:"revision,omitempty"`
-		Modified  bool   `json:"modified,omitempty"`
-		// Version sits last in this section per the append-only rule: the
-		// human-readable one-liner the -version flags print, so a metrics
+// value adapts a plain read to a telemetry.Source.
+func value(read func() any) telemetry.Func {
+	return func(*telemetry.Snapshot) any { return read() }
+}
+
+// share is a's fraction of a+b, 0 when both are 0.
+func share(a, b int64) float64 {
+	if total := a + b; total > 0 {
+		return float64(a) / float64(total)
+	}
+	return 0
+}
+
+// declareMetrics is the server's metric table: every value GET /metrics
+// and GET /metrics/prom report, declared once with its JSON key, its
+// Prometheus family and labels, and its source. Declaration order is
+// the JSON document's field order, which existing consumers rely on:
+// new keys go at the end of their section. The index cache, catalog and
+// trace families other than their *_enabled gauges reach Prometheus
+// only while the feature is on; their JSON keys are always present.
+func (s *Server) declareMetrics() []telemetry.Metric {
+	m := &s.m
+	icacheOn, catalogOn, traceOn := s.icache != nil, s.catalog != nil, s.tracer != nil
+	engine := func(sn *telemetry.Snapshot) jsonski.Stats {
+		st := jsonski.Stats{InputBytes: sn.Count(&m.engineInBytes)}
+		for g := range st.SkippedBytes {
+			st.SkippedBytes[g] = sn.Count(&m.skipped[g])
+		}
+		return st
+	}
+	icache := func() jsonski.IndexCacheStats {
+		if !icacheOn {
+			return jsonski.IndexCacheStats{}
+		}
+		return s.icache.Stats()
+	}
+	catalog := func() jsonski.CatalogStats {
+		if !catalogOn {
+			return jsonski.CatalogStats{}
+		}
+		return s.catalog.Stats()
+	}
+	// build.revision and build.modified are left out of JSON when empty.
+	build := telemetry.BuildInfo()
+	var revision, modified any
+	if build.Revision != "" {
+		revision = build.Revision
+	}
+	if build.Modified {
+		modified = true
+	}
+
+	ms := []telemetry.Metric{
+		{Key: "requests.query", Name: "jsonski_requests_total", Help: "Requests served, by endpoint.", Type: "counter", Labels: label("endpoint", "query"), Source: &m.queryRequests},
+		{Key: "requests.multi", Name: "jsonski_requests_total", Labels: label("endpoint", "multi"), Source: &m.multiRequests},
+		{Key: "requests.errors", Name: "jsonski_request_errors_total", Help: "Requests or records that produced an error response or error line.", Type: "counter", Source: &m.requestErrors},
+		{Key: "requests.in_flight", Name: "jsonski_in_flight_requests", Help: "Evaluation requests currently being served.", Type: "gauge", Source: &m.inFlight},
+		{Key: "requests.doc", Name: "jsonski_requests_total", Labels: label("endpoint", "doc"), Source: &m.docRequests},
+
+		{Key: "io.bytes_in", Name: "jsonski_io_bytes_total", Help: "Bytes moved over HTTP, by direction.", Type: "counter", Labels: label("direction", "in"), Source: &m.bytesIn},
+		{Key: "io.bytes_out", Name: "jsonski_io_bytes_total", Labels: label("direction", "out"), Source: &m.bytesOut},
+		{Key: "io.cancelled_reads", Name: "jsonski_cancelled_reads_total", Help: "Request bodies abandoned because the client went away.", Type: "counter", Source: &m.cancelledReads},
+
+		{Key: "engine.records", Name: "jsonski_records_total", Help: "JSON records evaluated.", Type: "counter", Source: &m.records},
+		{Key: "engine.record_errors", Name: "jsonski_record_errors_total", Help: "Records whose evaluation failed.", Type: "counter", Source: &m.recordErrors},
+		{Key: "engine.matches", Name: "jsonski_matches_total", Help: "Values emitted by the query engines.", Type: "counter", Source: &m.matches},
+		{Key: "engine.input_bytes", Name: "jsonski_engine_input_bytes_total", Help: "Bytes handed to the query engines.", Type: "counter", Source: &m.engineInBytes},
+	}
+	// Per-group samples, ranging over the Table 1 groups: the skipped
+	// bytes (read First: they are the ratios' numerators), the same
+	// counters again under the jsonski_ff_bytes_total name, and the
+	// JSON-only per-group ratios.
+	for g := range m.skipped {
+		ms = append(ms, telemetry.Metric{Key: "engine.skipped_bytes[]", Name: "jsonski_skipped_bytes_total",
+			Help: "Bytes fast-forwarded over, by paper group G1..G5.", Type: "counter",
+			Labels: label("group", fastforward.Group(g).String()), First: true, Source: &m.skipped[g]})
+	}
+	for g := range m.skipped {
+		ms = append(ms, telemetry.Metric{Name: "jsonski_ff_bytes_total",
+			Help: "Bytes fast-forwarded over, by Table 1 charge group G1..G5.", Type: "counter",
+			Labels: label("group", fastforward.Group(g).String()),
+			Source: telemetry.Func(func(sn *telemetry.Snapshot) any { return sn.Count(&m.skipped[g]) })})
+	}
+	ms = append(ms, telemetry.Metric{Key: "engine.fast_forward_ratio", Name: "jsonski_fast_forward_ratio",
+		Help: "Fraction of engine input bytes fast-forwarded over.", Type: "gauge",
+		Source: telemetry.Func(func(sn *telemetry.Snapshot) any { return engine(sn).FastForwardRatio() })})
+	for g := range m.skipped {
+		ms = append(ms, telemetry.Metric{Key: "engine.group_ratios[]",
+			Source: telemetry.Func(func(sn *telemetry.Snapshot) any { return engine(sn).GroupRatio(g) })})
+	}
+	return append(ms, []telemetry.Metric{
+		// scanned_bytes is the complement of the skipped groups, read
+		// right after them, so skip_ratio's denominator is at least as
+		// fresh as its numerator.
+		{Key: "engine.scanned_bytes", Name: "jsonski_scanned_bytes_total", Help: "Bytes the engines examined rather than fast-forwarded over.", Type: "counter", First: true, Source: &m.scannedBytes},
+		{Key: "engine.skip_ratio", Name: "jsonski_skip_ratio", Help: "Fast-forwarded fraction of all charged bytes: ff / (ff + scanned).", Type: "gauge",
+			Source: telemetry.Func(func(sn *telemetry.Snapshot) any {
+				var ff int64
+				for _, v := range engine(sn).SkippedBytes {
+					ff += v
+				}
+				return share(ff, sn.Count(&m.scannedBytes))
+			})},
+
+		{Key: "cache.hits", Name: "jsonski_cache_events_total", Help: "Compiled-query cache events.", Type: "counter", Labels: label("event", "hit"), Source: value(func() any { return s.cache.Stats().Hits })},
+		{Key: "cache.misses", Name: "jsonski_cache_events_total", Labels: label("event", "miss"), Source: value(func() any { return s.cache.Stats().Misses })},
+		{Key: "cache.evictions", Name: "jsonski_cache_events_total", Labels: label("event", "eviction"), Source: value(func() any { return s.cache.Stats().Evictions })},
+		{Key: "cache.size", Name: "jsonski_cache_entries", Help: "Compiled queries resident in the LRU cache.", Type: "gauge", Source: value(func() any { return s.cache.Stats().Size })},
+		{Key: "cache.cap", Source: value(func() any { return s.cache.Stats().Cap })},
+		{Key: "cache.hit_rate", Name: "jsonski_cache_hit_ratio", Help: "Compiled-query cache hit ratio.", Type: "gauge", Source: value(func() any { return s.cache.Stats().HitRate() })},
+
+		{Key: "index_cache.enabled", Name: "jsonski_index_cache_enabled", Help: "Whether the structural-index cache is enabled.", Type: "gauge", Source: value(func() any { return icacheOn })},
+		{Key: "index_cache.hits", Name: when(icacheOn, "jsonski_index_cache_events_total"), Help: "Structural-index cache events.", Type: "counter", Labels: label("event", "hit"), Source: value(func() any { return icache().Hits })},
+		{Key: "index_cache.misses", Name: when(icacheOn, "jsonski_index_cache_events_total"), Labels: label("event", "miss"), Source: value(func() any { return icache().Misses })},
+		{Key: "index_cache.evictions", Name: when(icacheOn, "jsonski_index_cache_events_total"), Labels: label("event", "eviction"), Source: value(func() any { return icache().Evictions })},
+		{Key: "index_cache.entries", Source: value(func() any { return icache().Entries })},
+		{Key: "index_cache.bytes", Name: when(icacheOn, "jsonski_index_cache_bytes"), Help: "Bytes of documents resident in the structural-index cache.", Type: "gauge", Source: value(func() any { return icache().Bytes })},
+		{Key: "index_cache.cap_bytes", Source: value(func() any { return icache().CapBytes })},
+		{Key: "index_cache.bytes_indexed", Source: value(func() any { return icache().BytesIndexed })},
+		{Key: "index_cache.hit_rate", Name: when(icacheOn, "jsonski_index_cache_hit_ratio"), Help: "Structural-index cache hit ratio.", Type: "gauge", Source: value(func() any { return icache().HitRate() })},
+
+		{Key: "workers.count", Name: "jsonski_workers", Help: "Evaluation worker goroutines.", Type: "gauge", Source: value(func() any { return s.pool.workers() })},
+		{Key: "workers.queue_depth", Name: "jsonski_worker_queue_depth", Help: "Accepted-but-unstarted record evaluations.", Type: "gauge", Source: value(func() any { return s.pool.queueDepth() })},
+		{Key: "workers.queue_capacity", Name: "jsonski_worker_queue_capacity", Help: "Worker queue capacity.", Type: "gauge", Source: value(func() any { return s.pool.queueCap() })},
+
+		{Key: "latency.query", Name: "jsonski_request_duration_seconds", Help: "Whole-request latency, by endpoint.", Type: "histogram", Labels: label("endpoint", "query"), Source: &m.queryLatency},
+		{Key: "latency.multi", Name: "jsonski_request_duration_seconds", Labels: label("endpoint", "multi"), Source: &m.multiLatency},
+		{Key: "latency.record", Name: "jsonski_record_duration_seconds", Help: "Single-record evaluation latency.", Type: "histogram", Source: &m.recordLatency},
+		{Key: "latency.doc", Name: "jsonski_request_duration_seconds", Labels: label("endpoint", "doc"), Source: &m.docLatency},
+
+		{Key: "uptime_seconds", Name: "jsonski_uptime_seconds", Help: "Seconds since the server started.", Type: "gauge", Source: value(func() any { return time.Since(s.start).Seconds() })},
+
+		// build.version is the one-liner the -version flags print, so a
 		// scrape identifies the running build without shell access.
-		Version string `json:"version"`
-	} `json:"build"`
-	// Catalog reports the persistent index catalog (-index-dir).
-	Catalog catalogJSON `json:"catalog"`
-	// Trace reports the distributed-tracing pipeline (-trace-endpoint /
-	// -trace-file): span volume by sampling outcome and exporter health.
-	// Counters come from the tracer's own atomics via Tracer.Stats, not
-	// the server metrics struct. It sits last per this struct's
-	// append-only field-order rule.
-	Trace struct {
-		Enabled       bool  `json:"enabled"`
-		SpansStarted  int64 `json:"spans_started"`
-		SpansSampled  int64 `json:"spans_sampled"`
-		SpansForced   int64 `json:"spans_forced"`
-		SpansDropped  int64 `json:"spans_dropped"`
-		SpansExported int64 `json:"spans_exported"`
-		ExportBatches int64 `json:"export_batches"`
-		ExportErrors  int64 `json:"export_errors"`
-	} `json:"trace"`
+		{Key: "build.go_version", Source: value(func() any { return build.GoVersion })},
+		{Key: "build.revision", Source: value(func() any { return revision })},
+		{Key: "build.modified", Source: value(func() any { return modified })},
+		{Key: "build.version", Source: value(func() any { return build.Version() })},
+		{Name: "jsonski_build_info", Help: "Build metadata; the value is always 1.", Type: "gauge", Labels: []telemetry.Label{
+			{Name: "go_version", Value: build.GoVersion},
+			{Name: "revision", Value: build.Revision},
+			{Name: "modified", Value: strconv.FormatBool(build.Modified)},
+			{Name: "version", Value: build.Version()},
+		}, Source: value(func() any { return 1 })},
+
+		// catalog reports the persistent index catalog (-index-dir); GET
+		// /index serves the same section as its stats.
+		{Key: "catalog.enabled", Name: "jsonski_catalog_enabled", Help: "Whether the persistent index catalog (-index-dir) is enabled.", Type: "gauge", Source: value(func() any { return catalogOn })},
+		{Key: "catalog.hits", Name: when(catalogOn, "jsonski_catalog_events_total"), Help: "Persistent index catalog events.", Type: "counter", Labels: label("event", "hit"), Source: value(func() any { return catalog().Hits })},
+		{Key: "catalog.misses", Name: when(catalogOn, "jsonski_catalog_events_total"), Labels: label("event", "miss"), Source: value(func() any { return catalog().Misses })},
+		{Key: "catalog.opens", Name: when(catalogOn, "jsonski_catalog_events_total"), Labels: label("event", "open"), Source: value(func() any { return catalog().Opens })},
+		{Key: "catalog.builds", Name: when(catalogOn, "jsonski_catalog_events_total"), Labels: label("event", "build"), Source: value(func() any { return catalog().Builds })},
+		{Key: "catalog.evictions", Name: when(catalogOn, "jsonski_catalog_events_total"), Labels: label("event", "eviction"), Source: value(func() any { return catalog().Evictions })},
+		{Key: "catalog.invalidated", Name: when(catalogOn, "jsonski_catalog_events_total"), Labels: label("event", "invalidated"), Source: value(func() any { return catalog().Invalidated })},
+		{Key: "catalog.entries", Name: when(catalogOn, "jsonski_catalog_entries"), Help: "Serialized index sidecars resident in the catalog.", Type: "gauge", Source: value(func() any { return catalog().Entries })},
+		{Key: "catalog.bytes", Name: when(catalogOn, "jsonski_catalog_bytes"), Help: "On-disk bytes of cataloged sidecars.", Type: "gauge", Source: value(func() any { return catalog().Bytes })},
+		{Key: "catalog.cap_bytes", Source: value(func() any { return catalog().CapBytes })},
+		{Key: "catalog.mmap", Source: value(func() any { return catalog().Mapped })},
+		{Key: "catalog.hit_rate", Name: when(catalogOn, "jsonski_catalog_hit_ratio"), Help: "Catalog hit ratio on single-document queries.", Type: "gauge", Source: value(func() any {
+			st := catalog()
+			return share(st.Hits, st.Misses)
+		})},
+
+		// trace reports the distributed-tracing pipeline (-trace-endpoint
+		// / -trace-file) from the tracer's own counters.
+		{Key: "trace.enabled", Name: "jsonski_trace_enabled", Help: "Whether distributed tracing is enabled.", Type: "gauge", Source: value(func() any { return traceOn })},
+		{Key: "trace.spans_started", Name: when(traceOn, "jsonski_trace_spans_total"), Help: "Trace spans, by pipeline outcome.", Type: "counter", Labels: label("outcome", "started"), Source: value(func() any { return s.tracer.Stats().Started })},
+		{Key: "trace.spans_sampled", Name: when(traceOn, "jsonski_trace_spans_total"), Labels: label("outcome", "sampled"), Source: value(func() any { return s.tracer.Stats().Sampled })},
+		{Key: "trace.spans_forced", Name: when(traceOn, "jsonski_trace_spans_total"), Labels: label("outcome", "forced"), Source: value(func() any { return s.tracer.Stats().Forced })},
+		{Key: "trace.spans_dropped", Name: when(traceOn, "jsonski_trace_spans_total"), Labels: label("outcome", "dropped"), Source: value(func() any { return s.tracer.Stats().DroppedSpans })},
+		{Key: "trace.spans_exported", Name: when(traceOn, "jsonski_trace_spans_total"), Labels: label("outcome", "exported"), Source: value(func() any { return s.tracer.Stats().ExportedSpans })},
+		{Key: "trace.export_batches", Name: when(traceOn, "jsonski_trace_export_batches_total"), Help: "Span batches handed to the trace sinks.", Type: "counter", Source: value(func() any { return s.tracer.Stats().ExportBatches })},
+		{Key: "trace.export_errors", Name: when(traceOn, "jsonski_trace_export_errors_total"), Help: "Trace sink writes that failed (POST or file).", Type: "counter", Source: value(func() any { return s.tracer.Stats().ExportErrors })},
+	}...)
 }
 
-// catalogJSON is the catalog section of the metrics snapshot and of
-// GET /index.
-type catalogJSON struct {
-	Enabled     bool    `json:"enabled"`
-	Hits        int64   `json:"hits"`
-	Misses      int64   `json:"misses"`
-	Opens       int64   `json:"opens"`
-	Builds      int64   `json:"builds"`
-	Evictions   int64   `json:"evictions"`
-	Invalidated int64   `json:"invalidated"`
-	Entries     int     `json:"entries"`
-	Bytes       int64   `json:"bytes"`
-	CapBytes    int64   `json:"cap_bytes"`
-	Mmap        bool    `json:"mmap"`
-	HitRate     float64 `json:"hit_rate"`
-}
-
-func catalogFrom(st jsonski.CatalogStats, enabled bool) catalogJSON {
-	out := catalogJSON{
-		Enabled:     enabled,
-		Hits:        st.Hits,
-		Misses:      st.Misses,
-		Opens:       st.Opens,
-		Builds:      st.Builds,
-		Evictions:   st.Evictions,
-		Invalidated: st.Invalidated,
-		Entries:     st.Entries,
-		Bytes:       st.Bytes,
-		CapBytes:    st.CapBytes,
-		Mmap:        st.Mapped,
-	}
-	if total := st.Hits + st.Misses; total > 0 {
-		out.HitRate = float64(st.Hits) / float64(total)
-	}
-	return out
-}
-
-// promSnapshot bundles everything the exposition surfaces derive their
-// samples from: the shared JSON snapshot plus the raw histogram
-// snapshots it was rendered from. Both metrics handlers read the live
-// atomics exactly once, through this struct, so the two surfaces can
-// never disagree with themselves within one scrape.
-type promSnapshot struct {
-	metricsSnapshot
-	queryLatency  telemetry.HistSnapshot
-	multiLatency  telemetry.HistSnapshot
-	recordLatency telemetry.HistSnapshot
-	docLatency    telemetry.HistSnapshot
-}
-
-// snapshot is the single reader of the live metric atomics. Load order
-// pairs with addStats's write order: the per-group skipped counters are
-// read before matches, records, and (last) the engine input-byte total,
-// so every derived ratio divides a possibly-stale numerator by an
-// at-least-as-fresh denominator — a scrape racing a record can read a
-// ratio that is momentarily low, never one above the true value.
-func (s *Server) snapshot() promSnapshot {
-	var out promSnapshot
-	for g := range s.m.skipped {
-		out.Engine.SkippedBytes[g] = s.m.skipped[g].Load()
-	}
-	// scannedBytes is read after the groups (it is written before them),
-	// so the derived skip ratio's denominator is at least as fresh as its
-	// numerator.
-	out.Engine.ScannedBytes = s.m.scannedBytes.Load()
-	out.Engine.RecordErrors = s.m.recordErrors.Load()
-	out.Engine.Matches = s.m.matches.Load()
-	out.Engine.Records = s.m.records.Load()
-	out.Engine.InputBytes = s.m.engineInBytes.Load()
-
-	var st jsonski.Stats
-	st.Matches = out.Engine.Matches
-	st.InputBytes = out.Engine.InputBytes
-	st.SkippedBytes = out.Engine.SkippedBytes
-	out.Engine.FastForwardRatio = st.FastForwardRatio()
-	out.Engine.GroupRatios = make([]float64, len(st.SkippedBytes))
-	var ffTotal int64
-	for g := range st.SkippedBytes {
-		out.Engine.GroupRatios[g] = st.GroupRatio(g)
-		ffTotal += st.SkippedBytes[g]
-	}
-	if total := ffTotal + out.Engine.ScannedBytes; total > 0 {
-		out.Engine.SkipRatio = float64(ffTotal) / float64(total)
-	}
-
-	out.Requests.Query = s.m.queryRequests.Load()
-	out.Requests.Multi = s.m.multiRequests.Load()
-	out.Requests.Doc = s.m.docRequests.Load()
-	out.Requests.Errors = s.m.requestErrors.Load()
-	out.Requests.InFlight = s.m.inFlight.Load()
-	out.IO.BytesIn = s.m.bytesIn.Load()
-	out.IO.BytesOut = s.m.bytesOut.Load()
-	out.IO.CancelledReads = s.m.cancelledReads.Load()
-
-	cs := s.cache.Stats()
-	out.Cache.Hits = cs.Hits
-	out.Cache.Misses = cs.Misses
-	out.Cache.Evictions = cs.Evictions
-	out.Cache.Size = cs.Size
-	out.Cache.Cap = cs.Cap
-	out.Cache.HitRate = cs.HitRate()
-
-	if s.icache != nil {
-		ics := s.icache.Stats()
-		out.IndexCache.Enabled = true
-		out.IndexCache.Hits = ics.Hits
-		out.IndexCache.Misses = ics.Misses
-		out.IndexCache.Evictions = ics.Evictions
-		out.IndexCache.Entries = ics.Entries
-		out.IndexCache.Bytes = ics.Bytes
-		out.IndexCache.CapBytes = ics.CapBytes
-		out.IndexCache.BytesIndexed = ics.BytesIndexed
-		out.IndexCache.HitRate = ics.HitRate()
-	}
-
-	out.Workers.Count = s.pool.workers()
-	out.Workers.QueueDepth = s.pool.queueDepth()
-	out.Workers.QueueCapacity = s.pool.queueCap()
-
-	out.queryLatency = s.m.queryLatency.Snapshot()
-	out.multiLatency = s.m.multiLatency.Snapshot()
-	out.recordLatency = s.m.recordLatency.Snapshot()
-	out.docLatency = s.m.docLatency.Snapshot()
-	out.Latency.Query = latencyFrom(out.queryLatency)
-	out.Latency.Multi = latencyFrom(out.multiLatency)
-	out.Latency.Record = latencyFrom(out.recordLatency)
-	out.Latency.Doc = latencyFrom(out.docLatency)
-
-	if s.catalog != nil {
-		out.Catalog = catalogFrom(s.catalog.Stats(), true)
-	}
-
-	out.UptimeSeconds = time.Since(s.start).Seconds()
-	b := telemetry.BuildInfo()
-	out.Build.GoVersion = b.GoVersion
-	out.Build.Revision = b.Revision
-	out.Build.Modified = b.Modified
-	out.Build.Version = b.Version()
-
-	if s.tracer != nil {
-		ts := s.tracer.Stats()
-		out.Trace.Enabled = true
-		out.Trace.SpansStarted = ts.Started
-		out.Trace.SpansSampled = ts.Sampled
-		out.Trace.SpansForced = ts.Forced
-		out.Trace.SpansDropped = ts.DroppedSpans
-		out.Trace.SpansExported = ts.ExportedSpans
-		out.Trace.ExportBatches = ts.ExportBatches
-		out.Trace.ExportErrors = ts.ExportErrors
-	}
-	return out
-}
+// snapshot is the single read of the metric table; both metrics
+// handlers render from it. The skipped-byte groups and the scanned
+// total are declared First, and the ratios over them are derived from
+// the values read, so a scrape racing a record can see a ratio that is
+// momentarily low, never one above the true value.
+func (s *Server) snapshot() *telemetry.Snapshot { return telemetry.Read(s.table) }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	b, err := json.MarshalIndent(s.snapshot().metricsSnapshot, "", "  ")
+	b, err := json.MarshalIndent(s.snapshot().Object(""), "", "  ")
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -343,165 +254,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.write(w, append(b, '\n'))
 }
 
-// handleProm serves GET /metrics/prom: the same counters as the JSON
-// snapshot — taken from the same single read of the atomics — in the
-// Prometheus text exposition format, plus the latency histograms in
-// native histogram form.
+// handleProm serves GET /metrics/prom: one read of the table GET
+// /metrics renders, in the Prometheus text exposition format, with the
+// latency histograms as cumulative bucket series.
 func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
-	snap := s.snapshot()
 	w.Header().Set("Content-Type", telemetry.ContentType)
-	p := telemetry.NewPromWriter(w)
-
-	p.Header("jsonski_requests_total", "Requests served, by endpoint.", "counter")
-	p.Int("jsonski_requests_total", []telemetry.Label{{Name: "endpoint", Value: "query"}}, snap.Requests.Query)
-	p.Int("jsonski_requests_total", []telemetry.Label{{Name: "endpoint", Value: "multi"}}, snap.Requests.Multi)
-	p.Int("jsonski_requests_total", []telemetry.Label{{Name: "endpoint", Value: "doc"}}, snap.Requests.Doc)
-	p.Header("jsonski_request_errors_total", "Requests or records that produced an error response or error line.", "counter")
-	p.Int("jsonski_request_errors_total", nil, snap.Requests.Errors)
-	p.Header("jsonski_in_flight_requests", "Evaluation requests currently being served.", "gauge")
-	p.Int("jsonski_in_flight_requests", nil, snap.Requests.InFlight)
-
-	p.Header("jsonski_io_bytes_total", "Bytes moved over HTTP, by direction.", "counter")
-	p.Int("jsonski_io_bytes_total", []telemetry.Label{{Name: "direction", Value: "in"}}, snap.IO.BytesIn)
-	p.Int("jsonski_io_bytes_total", []telemetry.Label{{Name: "direction", Value: "out"}}, snap.IO.BytesOut)
-
-	p.Header("jsonski_records_total", "JSON records evaluated.", "counter")
-	p.Int("jsonski_records_total", nil, snap.Engine.Records)
-	p.Header("jsonski_record_errors_total", "Records whose evaluation failed.", "counter")
-	p.Int("jsonski_record_errors_total", nil, snap.Engine.RecordErrors)
-	p.Header("jsonski_matches_total", "Values emitted by the query engines.", "counter")
-	p.Int("jsonski_matches_total", nil, snap.Engine.Matches)
-	p.Header("jsonski_engine_input_bytes_total", "Bytes handed to the query engines.", "counter")
-	p.Int("jsonski_engine_input_bytes_total", nil, snap.Engine.InputBytes)
-	p.Header("jsonski_skipped_bytes_total", "Bytes fast-forwarded over, by paper group G1..G5.", "counter")
-	for g, v := range snap.Engine.SkippedBytes {
-		p.Int("jsonski_skipped_bytes_total",
-			[]telemetry.Label{{Name: "group", Value: fastforward.Group(g).String()}}, v)
-	}
-	p.Header("jsonski_fast_forward_ratio", "Fraction of engine input bytes fast-forwarded over.", "gauge")
-	p.Value("jsonski_fast_forward_ratio", nil, snap.Engine.FastForwardRatio)
-	// Skip-efficiency cost accounting: the per-group fast-forward charges
-	// (same counters as jsonski_skipped_bytes_total, under the "ff" name
-	// that pairs with the scanned-byte complement below), the scanned
-	// total, and the ratio derived from exactly those two families.
-	p.Header("jsonski_ff_bytes_total", "Bytes fast-forwarded over, by Table 1 charge group G1..G5.", "counter")
-	for g, v := range snap.Engine.SkippedBytes {
-		p.Int("jsonski_ff_bytes_total",
-			[]telemetry.Label{{Name: "group", Value: fastforward.Group(g).String()}}, v)
-	}
-	p.Header("jsonski_scanned_bytes_total", "Bytes the engines examined rather than fast-forwarded over.", "counter")
-	p.Int("jsonski_scanned_bytes_total", nil, snap.Engine.ScannedBytes)
-	p.Header("jsonski_skip_ratio", "Fast-forwarded fraction of all charged bytes: ff / (ff + scanned).", "gauge")
-	p.Value("jsonski_skip_ratio", nil, snap.Engine.SkipRatio)
-	p.Header("jsonski_cancelled_reads_total", "Request bodies abandoned because the client went away.", "counter")
-	p.Int("jsonski_cancelled_reads_total", nil, snap.IO.CancelledReads)
-
-	p.Header("jsonski_cache_events_total", "Compiled-query cache events.", "counter")
-	for _, e := range []struct {
-		ev string
-		v  int64
-	}{{"hit", snap.Cache.Hits}, {"miss", snap.Cache.Misses}, {"eviction", snap.Cache.Evictions}} {
-		p.Int("jsonski_cache_events_total", []telemetry.Label{{Name: "event", Value: e.ev}}, e.v)
-	}
-	p.Header("jsonski_cache_entries", "Compiled queries resident in the LRU cache.", "gauge")
-	p.Int("jsonski_cache_entries", nil, int64(snap.Cache.Size))
-	p.Header("jsonski_cache_hit_ratio", "Compiled-query cache hit ratio.", "gauge")
-	p.Value("jsonski_cache_hit_ratio", nil, snap.Cache.HitRate)
-
-	p.Header("jsonski_index_cache_enabled", "Whether the structural-index cache is enabled.", "gauge")
-	p.Int("jsonski_index_cache_enabled", nil, boolGauge(snap.IndexCache.Enabled))
-	if snap.IndexCache.Enabled {
-		p.Header("jsonski_index_cache_events_total", "Structural-index cache events.", "counter")
-		for _, e := range []struct {
-			ev string
-			v  int64
-		}{{"hit", snap.IndexCache.Hits}, {"miss", snap.IndexCache.Misses}, {"eviction", snap.IndexCache.Evictions}} {
-			p.Int("jsonski_index_cache_events_total", []telemetry.Label{{Name: "event", Value: e.ev}}, e.v)
-		}
-		p.Header("jsonski_index_cache_bytes", "Bytes of documents resident in the structural-index cache.", "gauge")
-		p.Int("jsonski_index_cache_bytes", nil, snap.IndexCache.Bytes)
-		p.Header("jsonski_index_cache_hit_ratio", "Structural-index cache hit ratio.", "gauge")
-		p.Value("jsonski_index_cache_hit_ratio", nil, snap.IndexCache.HitRate)
-	}
-
-	p.Header("jsonski_catalog_enabled", "Whether the persistent index catalog (-index-dir) is enabled.", "gauge")
-	p.Int("jsonski_catalog_enabled", nil, boolGauge(snap.Catalog.Enabled))
-	if snap.Catalog.Enabled {
-		p.Header("jsonski_catalog_events_total", "Persistent index catalog events.", "counter")
-		for _, e := range []struct {
-			ev string
-			v  int64
-		}{
-			{"hit", snap.Catalog.Hits}, {"miss", snap.Catalog.Misses},
-			{"open", snap.Catalog.Opens}, {"build", snap.Catalog.Builds},
-			{"eviction", snap.Catalog.Evictions}, {"invalidated", snap.Catalog.Invalidated},
-		} {
-			p.Int("jsonski_catalog_events_total", []telemetry.Label{{Name: "event", Value: e.ev}}, e.v)
-		}
-		p.Header("jsonski_catalog_entries", "Serialized index sidecars resident in the catalog.", "gauge")
-		p.Int("jsonski_catalog_entries", nil, int64(snap.Catalog.Entries))
-		p.Header("jsonski_catalog_bytes", "On-disk bytes of cataloged sidecars.", "gauge")
-		p.Int("jsonski_catalog_bytes", nil, snap.Catalog.Bytes)
-		p.Header("jsonski_catalog_hit_ratio", "Catalog hit ratio on single-document queries.", "gauge")
-		p.Value("jsonski_catalog_hit_ratio", nil, snap.Catalog.HitRate)
-	}
-
-	p.Header("jsonski_workers", "Evaluation worker goroutines.", "gauge")
-	p.Int("jsonski_workers", nil, int64(snap.Workers.Count))
-	p.Header("jsonski_worker_queue_depth", "Accepted-but-unstarted record evaluations.", "gauge")
-	p.Int("jsonski_worker_queue_depth", nil, int64(snap.Workers.QueueDepth))
-	p.Header("jsonski_worker_queue_capacity", "Worker queue capacity.", "gauge")
-	p.Int("jsonski_worker_queue_capacity", nil, int64(snap.Workers.QueueCapacity))
-
-	p.Header("jsonski_request_duration_seconds", "Whole-request latency, by endpoint.", "histogram")
-	p.Histogram("jsonski_request_duration_seconds",
-		[]telemetry.Label{{Name: "endpoint", Value: "query"}}, snap.queryLatency)
-	p.Histogram("jsonski_request_duration_seconds",
-		[]telemetry.Label{{Name: "endpoint", Value: "multi"}}, snap.multiLatency)
-	p.Histogram("jsonski_request_duration_seconds",
-		[]telemetry.Label{{Name: "endpoint", Value: "doc"}}, snap.docLatency)
-	p.Header("jsonski_record_duration_seconds", "Single-record evaluation latency.", "histogram")
-	p.Histogram("jsonski_record_duration_seconds", nil, snap.recordLatency)
-
-	p.Header("jsonski_trace_enabled", "Whether distributed tracing is enabled.", "gauge")
-	p.Int("jsonski_trace_enabled", nil, boolGauge(snap.Trace.Enabled))
-	if snap.Trace.Enabled {
-		p.Header("jsonski_trace_spans_total", "Trace spans, by pipeline outcome.", "counter")
-		for _, e := range []struct {
-			ev string
-			v  int64
-		}{
-			{"started", snap.Trace.SpansStarted}, {"sampled", snap.Trace.SpansSampled},
-			{"forced", snap.Trace.SpansForced}, {"dropped", snap.Trace.SpansDropped},
-			{"exported", snap.Trace.SpansExported},
-		} {
-			p.Int("jsonski_trace_spans_total", []telemetry.Label{{Name: "outcome", Value: e.ev}}, e.v)
-		}
-		p.Header("jsonski_trace_export_batches_total", "Span batches handed to the trace sinks.", "counter")
-		p.Int("jsonski_trace_export_batches_total", nil, snap.Trace.ExportBatches)
-		p.Header("jsonski_trace_export_errors_total", "Trace sink writes that failed (POST or file).", "counter")
-		p.Int("jsonski_trace_export_errors_total", nil, snap.Trace.ExportErrors)
-	}
-
-	p.Header("jsonski_uptime_seconds", "Seconds since the server started.", "gauge")
-	p.Value("jsonski_uptime_seconds", nil, snap.UptimeSeconds)
-	b := telemetry.BuildInfo()
-	p.Header("jsonski_build_info", "Build metadata; the value is always 1.", "gauge")
-	p.Int("jsonski_build_info", []telemetry.Label{
-		{Name: "go_version", Value: b.GoVersion},
-		{Name: "revision", Value: b.Revision},
-		{Name: "modified", Value: strconv.FormatBool(b.Modified)},
-		{Name: "version", Value: b.Version()},
-	}, 1)
-
-	_ = p.Flush()
-}
-
-func boolGauge(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
+	_ = s.snapshot().WriteProm(w) // a failed write means the scraper went away
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -28,9 +28,9 @@
 //	GET  /index              list cataloged sidecars and catalog stats
 //	GET  /index/{hash}       one cataloged sidecar's info
 //	DELETE /index/{hash}     drop a sidecar (safe while readers stream)
-//	GET  /metrics            live counters as JSON (see metricsSnapshot)
+//	GET  /metrics            live counters as JSON
 //	GET  /metrics/prom       the same counters plus latency histograms in
-//	                         the Prometheus text exposition format
+//	                         Prometheus text format (both: declareMetrics)
 //	GET  /healthz            liveness probe (process is up)
 //	GET  /readyz             readiness probe: 503 once shutdown has begun
 //	                         or while the worker queue is saturated
@@ -116,6 +116,7 @@ type Server struct {
 	pool    *workerPool
 	mux     *http.ServeMux
 	m       metrics
+	table   []telemetry.Metric // declareMetrics: what m and the caches export
 	start   time.Time
 	down    atomic.Bool // readiness: set once shutdown begins
 	log     *slog.Logger
@@ -166,6 +167,7 @@ func New(cfg Config) (*Server, error) {
 			)
 		}
 	}
+	s.table = s.declareMetrics()
 	s.mux.HandleFunc("POST /query", s.handleQuery)
 	s.mux.HandleFunc("POST /multi", s.handleMulti)
 	s.mux.HandleFunc("GET /doc", s.handleDoc)
@@ -302,7 +304,7 @@ func (s *Server) write(w io.Writer, b []byte) {
 // countingReader tallies bytes drawn from a request body.
 type countingReader struct {
 	r io.Reader
-	n *atomic.Int64
+	n *telemetry.Counter
 }
 
 func (c *countingReader) Read(p []byte) (int, error) {

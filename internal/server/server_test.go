@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"jsonski/internal/fastforward"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -41,6 +43,66 @@ func post(t *testing.T, url, contentType, body string) (int, string) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, string(b)
+}
+
+// metricsSnapshot is the part of the GET /metrics document the tests
+// read, decoded the way an external consumer would.
+type metricsSnapshot struct {
+	Requests struct {
+		Query, Multi, Errors, Doc int64
+		InFlight                  int64 `json:"in_flight"`
+	} `json:"requests"`
+	IO struct {
+		BytesIn  int64 `json:"bytes_in"`
+		BytesOut int64 `json:"bytes_out"`
+	} `json:"io"`
+	Engine struct {
+		Records          int64                        `json:"records"`
+		RecordErrors     int64                        `json:"record_errors"`
+		Matches          int64                        `json:"matches"`
+		InputBytes       int64                        `json:"input_bytes"`
+		SkippedBytes     [fastforward.NumGroups]int64 `json:"skipped_bytes"`
+		FastForwardRatio float64                      `json:"fast_forward_ratio"`
+		GroupRatios      []float64                    `json:"group_ratios"`
+		ScannedBytes     int64                        `json:"scanned_bytes"`
+		SkipRatio        float64                      `json:"skip_ratio"`
+	} `json:"engine"`
+	Cache struct {
+		Hits, Misses int64
+	} `json:"cache"`
+	IndexCache struct {
+		Enabled      bool    `json:"enabled"`
+		Hits         int64   `json:"hits"`
+		Misses       int64   `json:"misses"`
+		Bytes        int64   `json:"bytes"`
+		CapBytes     int64   `json:"cap_bytes"`
+		BytesIndexed int64   `json:"bytes_indexed"`
+		HitRate      float64 `json:"hit_rate"`
+	} `json:"index_cache"`
+	Workers struct {
+		Count         int `json:"count"`
+		QueueCapacity int `json:"queue_capacity"`
+	} `json:"workers"`
+	Latency struct {
+		Doc struct {
+			Count int64 `json:"count"`
+		} `json:"doc"`
+	} `json:"latency"`
+	Catalog catalogJSON `json:"catalog"`
+	Trace   struct {
+		Enabled       bool  `json:"enabled"`
+		SpansStarted  int64 `json:"spans_started"`
+		SpansExported int64 `json:"spans_exported"`
+	} `json:"trace"`
+}
+
+// catalogJSON is the catalog section of GET /metrics and the stats of
+// GET /index.
+type catalogJSON struct {
+	Enabled bool  `json:"enabled"`
+	Hits    int64 `json:"hits"`
+	Builds  int64 `json:"builds"`
+	Entries int   `json:"entries"`
 }
 
 func getMetrics(t *testing.T, base string) metricsSnapshot {

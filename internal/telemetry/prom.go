@@ -15,7 +15,7 @@ type Label struct {
 // PromWriter emits the Prometheus text exposition format (version
 // 0.0.4) without any client library: `# HELP` / `# TYPE` headers,
 // samples with escaped label values, and cumulative histogram series.
-// Errors stick; check Err (or the Flush result) once at the end.
+// Errors stick; check the Flush result once at the end.
 type PromWriter struct {
 	w   *bufio.Writer
 	err error
@@ -119,9 +119,6 @@ func (p *PromWriter) Histogram(name string, labels []Label, s HistSnapshot) {
 	p.Value(name+"_sum", labels, float64(s.SumNanos)/1e9)
 	p.Int(name+"_count", labels, cum)
 }
-
-// Err returns the first write error, if any.
-func (p *PromWriter) Err() error { return p.err }
 
 // Flush drains the buffer and returns the sticky error.
 func (p *PromWriter) Flush() error {

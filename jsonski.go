@@ -42,6 +42,7 @@ import (
 
 	"jsonski/internal/automaton"
 	"jsonski/internal/core"
+	"jsonski/internal/fastforward"
 	"jsonski/internal/jsonpath"
 	"jsonski/internal/stream"
 	"jsonski/internal/telemetry"
@@ -71,7 +72,7 @@ type Stats struct {
 	// InputBytes is the total input length processed.
 	InputBytes int64
 	// SkippedBytes counts fast-forwarded bytes per group G1..G5.
-	SkippedBytes [5]int64
+	SkippedBytes [fastforward.NumGroups]int64
 
 	trace   *Trace
 	latency *LatencySnapshot

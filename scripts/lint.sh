@@ -3,8 +3,8 @@
 #
 #   go vet        over both workspace modules (the library and tools/lint)
 #   jsonskilint   the custom invariant analyzers (poolpair, escapespan,
-#                 chargesite, atomicpair, tracenil, spanend,
-#                 mapownership, navgen; see DESIGN §5d and §5i). The
+#                 chargesite, tracenil, spanend, mapownership, navgen;
+#                 see DESIGN §5d and §5i). The
 #                 dataflow-based passes (poolpair, spanend, escapespan,
 #                 mapownership, navgen) are path-sensitive: they reason
 #                 over the CFG, so "released on some paths but not all"

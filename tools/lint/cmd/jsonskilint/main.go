@@ -12,8 +12,6 @@
 //	escapespan   — zero-copy spans are not retained without a copy,
 //	               including through callees (interprocedural summaries)
 //	chargesite   — fast-forward movements charge a named Table 1 group
-//	atomicpair   — server metric atomics are read only in snapshot(),
-//	               and every counter reaches both metric expositions
 //	tracenil     — trace hooks stay behind a nil check
 //	spanend      — started telemetry spans reach End() on every path
 //	mapownership — bitmap rows of a possibly store-mapped Index are

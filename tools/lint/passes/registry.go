@@ -7,7 +7,6 @@ package passes
 
 import (
 	"jsonski/tools/lint/analysis"
-	"jsonski/tools/lint/passes/atomicpair"
 	"jsonski/tools/lint/passes/chargesite"
 	"jsonski/tools/lint/passes/escapespan"
 	"jsonski/tools/lint/passes/mapownership"
@@ -24,7 +23,6 @@ func All() []*analysis.Analyzer {
 		poolpair.Analyzer,
 		escapespan.Analyzer,
 		chargesite.Analyzer,
-		atomicpair.Analyzer,
 		tracenil.Analyzer,
 		spanend.Analyzer,
 		mapownership.Analyzer,
